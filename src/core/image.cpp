@@ -65,15 +65,17 @@ std::vector<std::uint8_t> ImageRGBA::to_bytes() const {
 Result<ImageRGBA> ImageRGBA::from_bytes(int width, int height,
                                         const std::vector<std::uint8_t>& bytes) {
   if (width < 0 || height < 0) return invalid_argument("negative image size");
-  const std::size_t expected =
-      static_cast<std::size_t>(width) * height * sizeof(Pixel);
-  if (bytes.size() != expected) {
+  // Compare in pixels: width * height fits in 62 bits, but the byte count
+  // can wrap to match a short payload (2^30 x 2^30 pixels "need" 0 bytes).
+  const std::size_t pixels = static_cast<std::size_t>(width) * height;
+  if (bytes.size() % sizeof(Pixel) != 0 ||
+      bytes.size() / sizeof(Pixel) != pixels) {
     return data_loss("image payload truncated: expected " +
-                     std::to_string(expected) + " bytes, got " +
-                     std::to_string(bytes.size()));
+                     std::to_string(pixels) + " pixels, got " +
+                     std::to_string(bytes.size()) + " bytes");
   }
   ImageRGBA img(width, height);
-  if (expected) std::memcpy(img.pixels_.data(), bytes.data(), expected);
+  if (pixels) std::memcpy(img.pixels_.data(), bytes.data(), bytes.size());
   return img;
 }
 

@@ -8,9 +8,9 @@
 // master once per open, then streams block requests directly to the servers
 // with one thread per server.
 //
-// All messages are framed with net::Message; payload layouts are defined by
-// the encode_*/decode_* helpers here so client, master and server cannot
-// drift apart.
+// All messages are framed with net::Message.  Each payload layout is defined
+// once, by the struct's field list in protocol.cpp, which both the encoder
+// and the decoder walk, so client, master and server cannot drift apart.
 #pragma once
 
 #include <cstdint>

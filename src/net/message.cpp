@@ -53,11 +53,6 @@ core::Result<Message> recv_message(ByteStream& stream, std::size_t max_payload) 
   return msg;
 }
 
-void Writer::u32(std::uint32_t v) { raw(&v, 4); }
-void Writer::u64(std::uint64_t v) { raw(&v, 8); }
-void Writer::f32(float v) { raw(&v, 4); }
-void Writer::f64(double v) { raw(&v, 8); }
-
 void Writer::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   raw(s.data(), s.size());
@@ -73,74 +68,43 @@ void Writer::raw(const void* data, std::size_t len) {
   buf_.insert(buf_.end(), p, p + len);
 }
 
-core::Status Reader::need(std::size_t n) {
-  if (buf_.size() - pos_ < n) {
-    return core::data_loss("truncated payload: wanted " + std::to_string(n) +
-                           " bytes, have " + std::to_string(buf_.size() - pos_));
+bool Reader::fits(std::size_t n) {
+  if (!ok()) return false;
+  if (remaining() < n) {
+    fail(core::data_loss("truncated payload: wanted " + std::to_string(n) +
+                         " bytes, have " + std::to_string(remaining())));
+    return false;
   }
-  return core::Status::ok();
+  return true;
 }
 
-core::Result<std::uint8_t> Reader::u8() {
-  if (auto st = need(1); !st.is_ok()) return st;
-  return buf_[pos_++];
+bool Reader::take(void* dst, std::size_t n) {
+  if (!fits(n)) return false;
+  if (n > 0) std::memcpy(dst, buf_.data() + pos_, n);
+  pos_ += n;
+  return true;
 }
 
-core::Result<std::uint32_t> Reader::u32() {
-  if (auto st = need(4); !st.is_ok()) return st;
-  std::uint32_t v;
-  std::memcpy(&v, buf_.data() + pos_, 4);
-  pos_ += 4;
-  return v;
+void Reader::field(bool& v) {
+  std::uint8_t b = 0;
+  if (take(&b, 1)) v = b != 0;
 }
 
-core::Result<std::uint64_t> Reader::u64() {
-  if (auto st = need(8); !st.is_ok()) return st;
-  std::uint64_t v;
-  std::memcpy(&v, buf_.data() + pos_, 8);
-  pos_ += 8;
-  return v;
+void Reader::field(std::string& s) {
+  std::uint32_t n = 0;
+  field(n);
+  if (!fits(n)) return;
+  s.assign(reinterpret_cast<const char*>(buf_.data() + pos_), n);
+  pos_ += n;
 }
 
-core::Result<std::int64_t> Reader::i64() {
-  auto r = u64();
-  if (!r.is_ok()) return r.status();
-  return static_cast<std::int64_t>(r.value());
-}
-
-core::Result<float> Reader::f32() {
-  if (auto st = need(4); !st.is_ok()) return st;
-  float v;
-  std::memcpy(&v, buf_.data() + pos_, 4);
-  pos_ += 4;
-  return v;
-}
-
-core::Result<double> Reader::f64() {
-  if (auto st = need(8); !st.is_ok()) return st;
-  double v;
-  std::memcpy(&v, buf_.data() + pos_, 8);
-  pos_ += 8;
-  return v;
-}
-
-core::Result<std::string> Reader::str() {
-  auto len = u32();
-  if (!len.is_ok()) return len.status();
-  if (auto st = need(len.value()); !st.is_ok()) return st;
-  std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), len.value());
-  pos_ += len.value();
-  return s;
-}
-
-core::Result<std::vector<std::uint8_t>> Reader::bytes() {
-  auto len = u64();
-  if (!len.is_ok()) return len.status();
-  if (auto st = need(len.value()); !st.is_ok()) return st;
-  std::vector<std::uint8_t> b(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                              buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
-  pos_ += len.value();
-  return b;
+void Reader::field(std::vector<std::uint8_t>& b) {
+  std::uint64_t n = 0;
+  field(n);
+  if (!fits(n)) return;
+  const auto* first = buf_.data() + pos_;
+  b.assign(first, first + n);
+  pos_ += n;
 }
 
 }  // namespace visapult::net

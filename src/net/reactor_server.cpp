@@ -275,8 +275,12 @@ struct Conn : std::enable_shared_from_this<Conn> {
     std::memcpy(frame.data() + 8, &len, 8);
     std::memcpy(frame.data() + 16, &reply.trace_id, 8);
     std::memcpy(frame.data() + 24, &reply.span_id, 8);
-    std::memcpy(frame.data() + kFrameHeader, reply.payload.data(),
-                reply.payload.size());
+    // An empty payload's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (!reply.payload.empty()) {
+      std::memcpy(frame.data() + kFrameHeader, reply.payload.data(),
+                  reply.payload.size());
+    }
     add_queued(frame.size());
     wq_bytes += frame.size();
     wq.push_back(std::move(frame));

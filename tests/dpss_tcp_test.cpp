@@ -5,6 +5,8 @@
 #include <cstring>
 
 #include "dpss/deployment.h"
+#include "dpss/protocol.h"
+#include "net/tcp.h"
 #include "support/test_support.h"
 
 namespace visapult::dpss {
@@ -85,6 +87,35 @@ TEST(DpssTcp, AclOverSockets) {
   auto ok_client = deployment.make_client();
   ASSERT_TRUE(ok_client.is_ok());
   EXPECT_TRUE(ok_client.value().open(desc.name, "corridor-project").is_ok());
+  deployment.stop();
+}
+
+TEST(DpssTcp, HostileSpanExportFrameLeavesMasterServing) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(2);
+  ASSERT_TRUE(deployment.ingest(desc).is_ok());
+
+  // A 49-byte frame (32-byte header, 17-byte payload) whose span count
+  // claims 2^32 - 1 records.  The master must answer it with a typed error
+  // and keep serving, not die allocating for the claim.
+  net::Writer w;
+  w.str("x");
+  w.f64(0.0);
+  w.u32(0xFFFFFFFFu);
+  const net::Message frame{kSpanExportRequest, 0, 0, w.take()};
+  ASSERT_EQ(net::kFrameHeaderBytes + frame.payload.size(), 49u);
+  auto stream = net::TcpStream::connect("127.0.0.1", deployment.master_port());
+  ASSERT_TRUE(stream.is_ok()) << stream.status().to_string();
+  ASSERT_TRUE(net::send_message(*stream.value(), frame).is_ok());
+  auto reply = net::recv_message(*stream.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(decode_span_export_reply(reply.value()).status().code(),
+            core::StatusCode::kDataLoss);
+
+  auto client = deployment.make_client();
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto file = client.value().open(desc.name);
+  EXPECT_TRUE(file.is_ok()) << file.status().to_string();
   deployment.stop();
 }
 

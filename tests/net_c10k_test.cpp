@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -84,7 +85,16 @@ TEST(NetC10k, ThousandsOfConcurrentReadersZeroErrors) {
     for (auto& t : drivers) t.join();
   }
   ASSERT_EQ(open_failures.load(), 0);
-  // Every reader holds one connection to the single block server.
+  // Every reader holds one connection to the single block server.  A
+  // client's connect() returns once the kernel queues the socket, before
+  // the reactor has accepted it, so give the last accepts up to 5 s.
+  const auto accept_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (deployment.server_net_stats(0).active_conns <
+             static_cast<std::size_t>(kReaders) &&
+         std::chrono::steady_clock::now() < accept_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(deployment.server_net_stats(0).active_conns,
             static_cast<std::size_t>(kReaders));
 
