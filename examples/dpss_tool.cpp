@@ -71,13 +71,16 @@
 // Run `dpss_tool help` for the full subcommand list.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "codec/stripe_layout.h"
@@ -1408,80 +1411,103 @@ int usage(std::FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
+// Numeric argument argv[i], when present, into *out.  Strict: the whole
+// word must parse and be at least 1 (atoi read "x" as 0, which the clamps
+// below then silently raised to a default).
+template <typename T>
+bool numeric_arg(int argc, char** argv, int i, T* out) {
+  if (i >= argc) return true;
+  const char* arg = argv[i];
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::is_integral_v<T>
+                       ? static_cast<double>(std::strtol(arg, &end, 10))
+                       : std::strtod(arg, &end);
+  if (end == arg || *end != '\0' || errno == ERANGE || !(v >= 1.0) ||
+      v > static_cast<double>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "dpss_tool: '%s' is not a number >= 1\n\n", arg);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// A subcommand's numeric arguments argv[2..] into `args` (defaults
+// already in place).
+template <typename... T>
+bool numeric_args(int argc, char** argv, T*... args) {
+  int i = 2;
+  return (numeric_arg(argc, argv, i++, args) && ...);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "help") == 0 ||
-                   std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    return usage(stdout);
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  if (cmd == "help" || cmd == "--help" || cmd == "-h") return usage(stdout);
+  if (cmd == "util") {
+    int servers = 4, clients = 32;
+    if (!numeric_args(argc, argv, &servers, &clients)) return usage(stderr);
+    return run_util_report(std::max(3, servers), clients);
   }
-  if (argc > 1 && std::strcmp(argv[1], "util") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 4;
-    const int clients = argc > 3 ? std::atoi(argv[3]) : 32;
-    return run_util_report(std::max(3, servers), std::max(1, clients));
+  if (cmd == "profile") {
+    int servers = 6, clients = 16;
+    double hz = 197.0;
+    if (!numeric_args(argc, argv, &servers, &clients, &hz)) {
+      return usage(stderr);
+    }
+    return run_profile_report(std::max(6, servers), clients, hz);
   }
-  if (argc > 1 && std::strcmp(argv[1], "profile") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 6;
-    const int clients = argc > 3 ? std::atoi(argv[3]) : 16;
-    const double hz = argc > 4 ? std::atof(argv[4]) : 197.0;
-    return run_profile_report(std::max(6, servers), std::max(1, clients),
-                              hz > 0 ? hz : 197.0);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "ingest") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 6;
-    const int rf = argc > 3 ? std::atoi(argv[3]) : 3;
+  if (cmd == "ingest") {
+    int servers = 6, rf = 3;
+    if (!numeric_args(argc, argv, &servers, &rf)) return usage(stderr);
     return run_ingest_report(std::max(3, servers), std::max(2, rf));
   }
-  if (argc > 1 && std::strcmp(argv[1], "stats") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 2;
-    const int clients = argc > 3 ? std::atoi(argv[3]) : 64;
-    const int rounds = argc > 4 ? std::atoi(argv[4]) : 1;
-    return run_stats_report(std::max(1, servers), std::max(1, clients),
-                            std::max(1, rounds));
+  if (cmd == "stats") {
+    int servers = 2, clients = 64, rounds = 1;
+    if (!numeric_args(argc, argv, &servers, &clients, &rounds)) {
+      return usage(stderr);
+    }
+    return run_stats_report(servers, clients, rounds);
   }
-  if (argc > 1 && std::strcmp(argv[1], "top") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 6;
-    const int clients = argc > 3 ? std::atoi(argv[3]) : 4;
-    const int rounds = argc > 4 ? std::atoi(argv[4]) : 3;
-    return run_top_report(std::max(6, servers), std::max(1, clients),
-                          std::max(2, rounds));
+  if (cmd == "top") {
+    int servers = 6, clients = 4, rounds = 3;
+    if (!numeric_args(argc, argv, &servers, &clients, &rounds)) {
+      return usage(stderr);
+    }
+    return run_top_report(std::max(6, servers), clients, std::max(2, rounds));
   }
-  if (argc > 1 && std::strcmp(argv[1], "net") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 2;
-    const int clients = argc > 3 ? std::atoi(argv[3]) : 128;
-    return run_net_report(std::max(1, servers), std::max(1, clients));
+  if (cmd == "net") {
+    int servers = 2, clients = 128;
+    if (!numeric_args(argc, argv, &servers, &clients)) return usage(stderr);
+    return run_net_report(servers, clients);
   }
-  if (argc > 1 && std::strcmp(argv[1], "ec") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 6;
-    const int k = argc > 3 ? std::atoi(argv[3]) : 4;
-    const int m = argc > 4 ? std::atoi(argv[4]) : 2;
-    return run_ec_report(std::max(2, servers), std::max(1, k), std::max(1, m));
+  if (cmd == "ec") {
+    int servers = 6, k = 4, m = 2;
+    if (!numeric_args(argc, argv, &servers, &k, &m)) return usage(stderr);
+    return run_ec_report(std::max(2, servers), k, m);
   }
-  if (argc > 1 && std::strcmp(argv[1], "meta") == 0) {
-    const int shards = argc > 2 ? std::atoi(argv[2]) : 4;
-    const int replicas = argc > 3 ? std::atoi(argv[3]) : 3;
-    const int datasets = argc > 4 ? std::atoi(argv[4]) : 24;
-    return run_meta_report(std::max(1, shards), std::max(1, replicas),
-                           std::max(1, datasets));
+  if (cmd == "meta") {
+    int shards = 4, replicas = 3, datasets = 24;
+    if (!numeric_args(argc, argv, &shards, &replicas, &datasets)) {
+      return usage(stderr);
+    }
+    return run_meta_report(shards, replicas, datasets);
   }
-  if (argc > 1 && std::strcmp(argv[1], "placement") == 0) {
-    const int servers = argc > 2 ? std::atoi(argv[2]) : 4;
-    const int rf = argc > 3 ? std::atoi(argv[3]) : 2;
+  if (cmd == "placement") {
+    int servers = 4, rf = 2;
+    if (!numeric_args(argc, argv, &servers, &rf)) return usage(stderr);
     return run_placement_report(std::max(2, servers), std::max(2, rf));
   }
   // Anything left must be the default run's numeric [max_servers]; an
   // unrecognised word is a typo'd subcommand, not a server count.
-  if (argc > 1) {
-    const char* arg = argv[1];
-    for (const char* p = arg; *p; ++p) {
-      if (*p < '0' || *p > '9') {
-        std::fprintf(stderr, "dpss_tool: unknown subcommand '%s'\n\n", arg);
-        return usage(stderr);
-      }
-    }
+  if (cmd.find_first_not_of("0123456789") != std::string::npos) {
+    std::fprintf(stderr, "dpss_tool: unknown subcommand '%s'\n\n",
+                 cmd.c_str());
+    return usage(stderr);
   }
-  const int max_servers = argc > 1 ? std::atoi(argv[1]) : 4;
+  int max_servers = 4;
+  if (!numeric_arg(argc, argv, 1, &max_servers)) return usage(stderr);
   const auto dataset = vol::DatasetDesc{"combustion-demo", {96, 64, 64}, 2,
                                         vol::Generator::kCombustion, 42};
 

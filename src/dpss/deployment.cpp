@@ -32,21 +32,18 @@ std::uint64_t export_spans_to_master(Master& master, TraceExport& e) {
 namespace {
 
 // Wire one component's trace-export pipeline: a bounded sink fed by a
-// real-clock NetLogger handed to `attach`.
-std::unique_ptr<TraceExport> make_trace_export(
-    const std::string& host, std::size_t sink_capacity,
-    const std::function<void(std::shared_ptr<netlog::NetLogger>)>& attach) {
+// real-clock NetLogger attached to `component` (the master or a server).
+template <typename Component>
+std::unique_ptr<TraceExport> attach_trace_export(Component& component,
+                                                 const std::string& host,
+                                                 std::size_t sink_capacity) {
   auto e = std::make_unique<TraceExport>();
   e->host = host;
   e->sink = std::make_shared<netlog::MemorySink>(sink_capacity);
-  attach(std::make_shared<netlog::NetLogger>(core::global_real_clock(), host,
-                                             "dpss", e->sink));
+  component.set_logger(std::make_shared<netlog::NetLogger>(
+      core::global_real_clock(), host, "dpss", e->sink));
   return e;
 }
-
-}  // namespace
-
-namespace {
 
 // Flatten one front door's transport counters into exposition samples
 // under `prefix` (dpss_master_net / dpss_server_net).  `role` labels the
@@ -528,27 +525,236 @@ core::Status apply_fixup(
                            std::to_string(task.block) + " of " + task.dataset);
 }
 
-namespace {
+// ---- deployment (transport-independent) --------------------------------------
 
-// Shared deployment rebalance flow: hand the master the live membership
-// and execute the plan against the resolved block servers while the old
-// map is still the one being served.
-core::Status rebalance_live(
-    Master& master, const std::string& name,
-    std::vector<ServerAddress> live,
-    const std::function<BlockServer*(const ServerAddress&)>& resolve) {
-  auto plan = master.rebalance_dataset(
-      name, std::move(live), [&](const placement::RebalancePlan& p) {
-        return apply_rebalance_plan(p, resolve);
+Deployment::Deployment(int server_count, DiskModel disk, bool throttle,
+                       ServerCacheConfig cache) {
+  for (int i = 0; i < server_count; ++i) {
+    servers_.push_back(std::make_unique<BlockServer>(
+        "dpss-server-" + std::to_string(i), disk, throttle, cache));
+    killed_.push_back(0);
+  }
+  // Generation source for the master's rebalance planner: the min stamp
+  // `addr` holds across a placement group's blocks, or -1 when it does not
+  // hold the whole group (it cannot source the copy).  Invoked under the
+  // master's request mutex; the catalog and block stores lock
+  // independently, matching the executor's lock order.
+  master_.set_generation_view([this](const std::string& dataset,
+                                     const ServerAddress& addr,
+                                     std::uint64_t group) -> std::int64_t {
+    BlockServer* server = server_for(addr);
+    if (!server) return -1;
+    auto entry = master_.catalog().lookup(dataset);
+    if (!entry) return -1;
+    const std::uint64_t first = group * entry->layout.stripe_blocks;
+    const std::uint64_t last = std::min<std::uint64_t>(
+        first + entry->layout.stripe_blocks, entry->layout.block_count());
+    if (first >= last) return -1;
+    std::int64_t min_gen = -1;
+    for (std::uint64_t b = first; b < last; ++b) {
+      if (!server->has_block(dataset, b)) return -1;
+      const auto gen =
+          static_cast<std::int64_t>(server->block_generation(dataset, b));
+      if (min_gen < 0 || gen < min_gen) min_gen = gen;
+    }
+    return min_gen;
+  });
+}
+
+Deployment::~Deployment() = default;
+
+BlockServer& Deployment::server(int i) {
+  std::lock_guard lk(state_mu_);
+  return *servers_[static_cast<std::size_t>(i)];
+}
+
+int Deployment::server_count() const {
+  std::lock_guard lk(state_mu_);
+  return static_cast<int>(servers_.size());
+}
+
+ServerAddress Deployment::server_address(int i) const {
+  std::lock_guard lk(state_mu_);
+  if (i < 0 || static_cast<std::size_t>(i) >= addresses_.size()) return {};
+  return addresses_[static_cast<std::size_t>(i)];
+}
+
+BlockServer* Deployment::server_for(const ServerAddress& addr) {
+  std::lock_guard lk(state_mu_);
+  for (std::size_t i = 0; i < addresses_.size(); ++i) {
+    if (addresses_[i] == addr) return servers_[i].get();
+  }
+  return nullptr;
+}
+
+void Deployment::shutdown_components() {
+  master_.shutdown();
+  for (auto& s : servers_) s->shutdown();
+}
+
+core::Status Deployment::ingest(const vol::DatasetDesc& desc,
+                                std::uint32_t block_bytes,
+                                std::uint32_t stripe_blocks,
+                                std::uint32_t replication_factor,
+                                const codec::EcProfile& ec) {
+  if (auto st = ensure_serving(); !st.is_ok()) return st;
+  std::vector<BlockServer*> raw;
+  std::vector<ServerAddress> addrs;
+  {
+    std::lock_guard lk(state_mu_);
+    for (auto& s : servers_) raw.push_back(s.get());
+    addrs = addresses_;
+  }
+  return ingest_dataset(master_, std::move(raw), std::move(addrs), desc,
+                        block_bytes, stripe_blocks, replication_factor, ec);
+}
+
+core::Status Deployment::generate_thumbnails(
+    const vol::DatasetDesc& desc, const render::TransferFunction& tf,
+    const ThumbnailOptions& options) {
+  if (auto st = ensure_serving(); !st.is_ok()) return st;
+  std::vector<BlockServer*> raw;
+  std::vector<ServerAddress> addrs;
+  {
+    std::lock_guard lk(state_mu_);
+    for (auto& s : servers_) raw.push_back(s.get());
+    addrs = addresses_;
+  }
+  return dpss::generate_thumbnails(master_, std::move(raw), std::move(addrs),
+                                   desc, tf, options);
+}
+
+void Deployment::kill_server(int i) {
+  BlockServer* srv = nullptr;
+  {
+    std::lock_guard lk(state_mu_);
+    if (!serving() || i < 0 ||
+        static_cast<std::size_t>(i) >= servers_.size() ||
+        killed_[static_cast<std::size_t>(i)]) {
+      return;
+    }
+    killed_[static_cast<std::size_t>(i)] = 1;
+    srv = servers_[static_cast<std::size_t>(i)].get();
+  }
+  // Outside the lock: closing the door drains in-flight handlers, and
+  // shutdown joins service threads and drops pooled peer links.
+  close_door(i);
+  srv->shutdown();
+}
+
+bool Deployment::server_killed(int i) const {
+  std::lock_guard lk(state_mu_);
+  return i >= 0 && static_cast<std::size_t>(i) < servers_.size() &&
+         killed_[static_cast<std::size_t>(i)];
+}
+
+void Deployment::wipe_server(int i) {
+  kill_server(i);
+  if (i < 0 || i >= server_count()) return;
+  server(i).wipe();
+  // A wiped disk is known-gone; no need to wait for failure reports.
+  master_.health().mark_down(server_address(i));
+}
+
+void Deployment::heartbeat_all(double now) {
+  std::vector<std::pair<ServerAddress, std::uint64_t>> beats;
+  std::vector<meta::GenerationFloor> floors;
+  {
+    std::lock_guard lk(state_mu_);
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      if (killed_[i] || i >= addresses_.size()) continue;
+      beats.emplace_back(addresses_[i], servers_[i]->requests_served());
+      // Gossip: each live server's per-dataset max generation rides its
+      // heartbeat; the master ratchets them into floors for OpenReplys.
+      for (const auto& name : servers_[i]->dataset_names()) {
+        floors.push_back({name, servers_[i]->max_generation(name)});
+      }
+    }
+  }
+  for (const auto& [addr, served] : beats) {
+    master_.heartbeat(addr, served, now);
+  }
+  master_.gossip().merge(floors);
+}
+
+core::Status Deployment::rebalance_dataset(const std::string& name) {
+  std::vector<ServerAddress> live;
+  {
+    std::lock_guard lk(state_mu_);
+    for (std::size_t i = 0; i < addresses_.size(); ++i) {
+      if (!killed_[i]) live.push_back(addresses_[i]);
+    }
+  }
+  // Execute the plan against the resolved block servers while the old map
+  // is still the one being served.
+  auto plan = master_.rebalance_dataset(
+      name, std::move(live), [this](const placement::RebalancePlan& p) {
+        return apply_rebalance_plan(
+            p, [this](const ServerAddress& a) { return server_for(a); });
       });
   return plan.is_ok() ? core::Status::ok() : plan.status();
 }
 
+void Deployment::enable_auto_rebalance(double down_deadline_seconds) {
+  master_.enable_auto_rebalance(
+      AutoRebalanceConfig{down_deadline_seconds},
+      [this](const placement::RebalancePlan& plan) {
+        return apply_rebalance_plan(
+            plan, [this](const ServerAddress& a) { return server_for(a); });
+      });
+}
+
+void Deployment::enable_fixups() {
+  master_.set_fixup_executor([this](const ingest::FixupTask& task) {
+    return apply_fixup(task, master_,
+                       [this](const ServerAddress& a) { return server_for(a); });
+  });
+}
+
+void Deployment::enable_trace_collection(std::size_t sink_capacity) {
+  trace_exports_.clear();
+  trace_exports_.push_back(
+      attach_trace_export(master_, "master", sink_capacity));
+  std::lock_guard lk(state_mu_);
+  for (auto& s : servers_) {
+    trace_exports_.push_back(attach_trace_export(*s, s->name(), sink_capacity));
+  }
+}
+
+std::uint64_t Deployment::export_spans() {
+  std::uint64_t accepted = 0;
+  for (auto& e : trace_exports_) {
+    accepted += export_spans_to_master(master_, *e);
+  }
+  return accepted;
+}
+
+// ---- pipe transport ----------------------------------------------------------
+
+namespace {
+
+// Pipe addresses carry the server index in the port field.
+ServerAddress pipe_address(int i) {
+  return ServerAddress{"pipe-server-" + std::to_string(i),
+                       static_cast<std::uint16_t>(i)};
+}
+
 }  // namespace
 
-// ---- pipe deployment ---------------------------------------------------------
+PipeDeployment::PipeDeployment(int server_count, DiskModel disk,
+                               ServerCacheConfig cache)
+    : Deployment(server_count, disk, /*throttle=*/false, cache),
+      disk_(disk),
+      cache_config_(cache) {
+  for (int i = 0; i < server_count; ++i) {
+    addresses_.push_back(pipe_address(i));
+    servers_[static_cast<std::size_t>(i)]->set_peer_connector(connector());
+  }
+}
 
-Connector PipeDeployment::make_peer_connector() {
+PipeDeployment::~PipeDeployment() { shutdown_components(); }
+
+Connector PipeDeployment::connector() {
   return [this](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
     BlockServer* srv = nullptr;
     {
@@ -567,128 +773,10 @@ Connector PipeDeployment::make_peer_connector() {
   };
 }
 
-namespace {
-
-// Generation source for the master's rebalance planner, shared by both
-// deployments: the min stamp `addr` holds across a placement group's
-// blocks, or -1 when it does not hold the whole group (it cannot source
-// the copy).  Invoked under the master's request mutex; the catalog and
-// block stores lock independently, matching the executor's lock order.
-Master::DatasetGenerationView make_generation_view(
-    Master& master,
-    std::function<BlockServer*(const ServerAddress&)> resolve) {
-  return [&master, resolve = std::move(resolve)](
-             const std::string& dataset, const ServerAddress& addr,
-             std::uint64_t group) -> std::int64_t {
-    BlockServer* server = resolve(addr);
-    if (!server) return -1;
-    auto entry = master.catalog().lookup(dataset);
-    if (!entry) return -1;
-    const std::uint64_t first = group * entry->layout.stripe_blocks;
-    const std::uint64_t last = std::min<std::uint64_t>(
-        first + entry->layout.stripe_blocks, entry->layout.block_count());
-    if (first >= last) return -1;
-    std::int64_t min_gen = -1;
-    for (std::uint64_t b = first; b < last; ++b) {
-      if (!server->has_block(dataset, b)) return -1;
-      const auto gen =
-          static_cast<std::int64_t>(server->block_generation(dataset, b));
-      if (min_gen < 0 || gen < min_gen) min_gen = gen;
-    }
-    return min_gen;
-  };
-}
-
-}  // namespace
-
-PipeDeployment::PipeDeployment(int server_count, DiskModel disk,
-                               ServerCacheConfig cache)
-    : disk_(disk), cache_config_(cache) {
-  for (int i = 0; i < server_count; ++i) {
-    servers_.push_back(std::make_unique<BlockServer>(
-        "dpss-server-" + std::to_string(i), disk, /*throttle=*/false, cache));
-    servers_.back()->set_peer_connector(make_peer_connector());
-    killed_.push_back(0);
-  }
-  master_.set_generation_view(make_generation_view(
-      master_, [this](const ServerAddress& a) { return server_for(a); }));
-}
-
-PipeDeployment::~PipeDeployment() {
-  master_.shutdown();
-  for (auto& s : servers_) s->shutdown();
-}
-
-ServerAddress PipeDeployment::server_address(int i) const {
-  return ServerAddress{"pipe-server-" + std::to_string(i),
-                       static_cast<std::uint16_t>(i)};
-}
-
-core::Status PipeDeployment::ingest(const vol::DatasetDesc& desc,
-                                    std::uint32_t block_bytes,
-                                    std::uint32_t stripe_blocks,
-                                    std::uint32_t replication_factor,
-                                    const codec::EcProfile& ec) {
-  std::vector<BlockServer*> raw;
-  std::vector<ServerAddress> addrs;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-    addrs.push_back(server_address(static_cast<int>(i)));
-  }
-  return ingest_dataset(master_, std::move(raw), std::move(addrs), desc,
-                        block_bytes, stripe_blocks, replication_factor, ec);
-}
-
-core::Status PipeDeployment::generate_thumbnails(
-    const vol::DatasetDesc& desc, const render::TransferFunction& tf,
-    const ThumbnailOptions& options) {
-  std::vector<BlockServer*> raw;
-  std::vector<ServerAddress> addrs;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-    addrs.push_back(server_address(static_cast<int>(i)));
-  }
-  return dpss::generate_thumbnails(master_, std::move(raw), std::move(addrs),
-                                   desc, tf, options);
-}
-
 DpssClient PipeDeployment::make_client() {
   auto [client_end, master_end] = net::make_pipe();
   master_.serve(master_end);
-  Connector connector = [this](const ServerAddress& addr)
-      -> core::Result<net::StreamPtr> {
-    BlockServer* srv = nullptr;
-    {
-      std::lock_guard lk(state_mu_);
-      // Pipe addresses carry the server index in the port field.
-      if (addr.port >= servers_.size()) {
-        return core::not_found("unknown pipe server: " + addr.host);
-      }
-      if (killed_[addr.port]) {
-        return core::unavailable("server killed: " + addr.host);
-      }
-      srv = servers_[addr.port].get();
-    }
-    auto [client_side, server_side] = net::make_pipe();
-    srv->serve(server_side);
-    return client_side;
-  };
-  return DpssClient(client_end, std::move(connector));
-}
-
-void PipeDeployment::kill_server(int i) {
-  BlockServer* srv = nullptr;
-  {
-    std::lock_guard lk(state_mu_);
-    if (i < 0 || static_cast<std::size_t>(i) >= servers_.size() ||
-        killed_[static_cast<std::size_t>(i)]) {
-      return;
-    }
-    killed_[static_cast<std::size_t>(i)] = 1;
-    srv = servers_[static_cast<std::size_t>(i)].get();
-  }
-  // Outside the lock: shutdown joins service threads.
-  srv->shutdown();
+  return DpssClient(client_end, connector());
 }
 
 void PipeDeployment::revive_server(int i) {
@@ -703,13 +791,7 @@ void PipeDeployment::revive_server(int i) {
     served = servers_[static_cast<std::size_t>(i)]->requests_served();
   }
   // Announce the rejoin so health-ranked opens use the server again.
-  master_.heartbeat(server_address(i), served);
-}
-
-bool PipeDeployment::server_killed(int i) const {
-  std::lock_guard lk(state_mu_);
-  return i >= 0 && static_cast<std::size_t>(i) < servers_.size() &&
-         killed_[static_cast<std::size_t>(i)];
+  master_.heartbeat(pipe_address(i), served);
 }
 
 int PipeDeployment::add_server() {
@@ -720,279 +802,34 @@ int PipeDeployment::add_server() {
     servers_.push_back(std::make_unique<BlockServer>(
         "dpss-server-" + std::to_string(i), disk_, /*throttle=*/false,
         cache_config_));
+    servers_.back()->set_peer_connector(connector());
+    addresses_.push_back(pipe_address(i));
     killed_.push_back(0);
   }
-  servers_[static_cast<std::size_t>(i)]->set_peer_connector(
-      make_peer_connector());
-  master_.heartbeat(server_address(i), 0);
+  master_.heartbeat(pipe_address(i), 0);
   return i;
 }
 
-void PipeDeployment::wipe_server(int i) {
-  kill_server(i);
-  BlockServer* srv = nullptr;
-  {
-    std::lock_guard lk(state_mu_);
-    if (i < 0 || static_cast<std::size_t>(i) >= servers_.size()) return;
-    srv = servers_[static_cast<std::size_t>(i)].get();
-  }
-  srv->wipe();
-  // A wiped disk is known-gone; no need to wait for failure reports.
-  master_.health().mark_down(server_address(i));
-}
-
-void PipeDeployment::heartbeat_all(double now) {
-  std::vector<std::pair<int, std::uint64_t>> beats;
-  std::vector<meta::GenerationFloor> floors;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (killed_[i]) continue;
-      beats.emplace_back(static_cast<int>(i), servers_[i]->requests_served());
-      // Gossip: each live server's per-dataset max generation rides its
-      // heartbeat; the master ratchets them into floors for OpenReplys.
-      for (const auto& name : servers_[i]->dataset_names()) {
-        floors.push_back({name, servers_[i]->max_generation(name)});
-      }
-    }
-  }
-  for (const auto& [i, served] : beats) {
-    master_.heartbeat(server_address(i), served, now);
-  }
-  master_.gossip().merge(floors);
-}
-
-void PipeDeployment::enable_auto_rebalance(double down_deadline_seconds) {
-  master_.enable_auto_rebalance(
-      AutoRebalanceConfig{down_deadline_seconds},
-      [this](const placement::RebalancePlan& plan) {
-        return apply_rebalance_plan(
-            plan, [this](const ServerAddress& a) { return server_for(a); });
-      });
-}
-
-void PipeDeployment::enable_fixups() {
-  master_.set_fixup_executor([this](const ingest::FixupTask& task) {
-    return apply_fixup(task, master_,
-                       [this](const ServerAddress& a) { return server_for(a); });
-  });
-}
-
-void PipeDeployment::enable_trace_collection(std::size_t sink_capacity) {
-  trace_exports_.clear();
-  trace_exports_.push_back(make_trace_export(
-      "master", sink_capacity,
-      [this](std::shared_ptr<netlog::NetLogger> l) {
-        master_.set_logger(std::move(l));
-      }));
-  std::lock_guard lk(state_mu_);
-  for (auto& server : servers_) {
-    BlockServer* s = server.get();
-    trace_exports_.push_back(make_trace_export(
-        s->name(), sink_capacity, [s](std::shared_ptr<netlog::NetLogger> l) {
-          s->set_logger(std::move(l));
-        }));
-  }
-}
-
-std::uint64_t PipeDeployment::export_spans() {
-  std::uint64_t accepted = 0;
-  for (auto& e : trace_exports_) {
-    accepted += export_spans_to_master(master_, *e);
-  }
-  return accepted;
-}
-
-BlockServer* PipeDeployment::server_for(const ServerAddress& addr) {
-  std::lock_guard lk(state_mu_);
-  if (addr.port >= servers_.size()) return nullptr;
-  return servers_[addr.port].get();
-}
-
-core::Status PipeDeployment::rebalance_dataset(const std::string& name) {
-  std::vector<ServerAddress> live;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (!killed_[i]) live.push_back(server_address(static_cast<int>(i)));
-    }
-  }
-  return rebalance_live(master_, name, std::move(live),
-                        [this](const ServerAddress& a) { return server_for(a); });
-}
-
-// ---- TCP deployment ----------------------------------------------------------
+// ---- TCP transport -----------------------------------------------------------
 
 TcpDeployment::TcpDeployment(int server_count, DiskModel disk, bool throttle,
                              ServerCacheConfig cache,
                              TcpDeploymentOptions options)
-    : options_(options) {
-  for (int i = 0; i < server_count; ++i) {
-    servers_.push_back(std::make_unique<BlockServer>(
-        "dpss-server-" + std::to_string(i), disk, throttle, cache));
-    killed_.push_back(0);
-  }
-  master_.set_generation_view(make_generation_view(
-      master_, [this](const ServerAddress& a) { return server_for(a); }));
-}
+    : Deployment(server_count, disk, throttle, cache), options_(options) {}
 
 TcpDeployment::~TcpDeployment() { stop(); }
 
 core::Status TcpDeployment::start() {
   if (started_) return core::Status::ok();
-
-  if (options_.serve_mode == ServeMode::kReactor) {
-    // One shared pool of event loops fronts the master and every block
-    // server; connections are dealt round-robin across the loops.
-    reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
-    net::ReactorServerOptions ropts;
-    ropts.request_read_timeout_seconds = options_.request_read_timeout_seconds;
-    ropts.write_queue_cap_bytes = options_.write_queue_cap_bytes;
-
-    // Master handlers are pure catalog/health bookkeeping -- they never
-    // block, so they run inline on the loops (workers = nullptr).
-    Master* master = &master_;
-    master_front_ = std::make_unique<net::ReactorServer>(
-        *reactors_,
-        [master](net::Message&& msg, std::uint64_t) {
-          return master->handle_request(std::move(msg));
-        },
-        ropts);
-    master_front_->set_read_timeout_observer(
-        [master] { master->note_read_timeout(); });
-    if (auto st = master_front_->listen(0); !st.is_ok()) return st;
-
-    for (auto& server : servers_) {
-      // Block-server handlers may sleep on the modelled disks or forward
-      // down a replica chain, so each server offloads to its own worker
-      // pool; per-server pools keep a forwarded hop from starving the
-      // downstream server's inbound capacity.
-      worker_pools_.push_back(std::make_unique<core::ThreadPool>(
-          std::max(1, options_.worker_threads)));
-      BlockServer* srv = server.get();
-      core::ThreadPool* pool = worker_pools_.back().get();
-      // Feed the pool's per-task wait/run timings into registered
-      // histograms so the exposition carries p50/p95/p99 saturation
-      // quantiles for each server's worker pool.
-      obs::Histogram& wait_hist =
-          srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
-      obs::Histogram& run_hist =
-          srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
-      pool->set_task_observer(
-          [&wait_hist, &run_hist](double wait_s, double run_s) {
-            wait_hist.observe(wait_s);
-            run_hist.observe(run_s);
-          });
-      auto front = std::make_unique<net::ReactorServer>(
-          *reactors_,
-          [srv](net::Message&& msg, std::uint64_t conn_id) {
-            return srv->handle_request(std::move(msg), conn_id);
-          },
-          ropts, pool);
-      front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
-      if (auto st = front->listen(0); !st.is_ok()) return st;
-      addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});
-      // Surface this server's front-door transport counters and worker
-      // pool USE gauges through its own kStats registry (removed in
-      // stop() before the front and pool die).
-      // Second door for server-to-server traffic, on an ELASTIC pool:
-      // client writes saturating the main pool must never starve an
-      // incoming chain forward, and a forward blocked on the next hop must
-      // never starve that hop's own forward (see the peer_fronts_ comment
-      // in the header).  Elasticity is what makes the argument hold at
-      // every chain depth: a peer task always gets a worker, so blocking
-      // chains bottom out at the terminal hop instead of deadlocking on
-      // pool capacity.
-      peer_pools_.push_back(std::make_unique<core::ThreadPool>(
-          std::max(1, options_.worker_threads), /*elastic=*/true));
-      core::ThreadPool* peer_pool = peer_pools_.back().get();
-      auto peer_front = std::make_unique<net::ReactorServer>(
-          *reactors_,
-          [srv](net::Message&& msg, std::uint64_t conn_id) {
-            return srv->handle_request(std::move(msg), conn_id);
-          },
-          ropts, peer_pool);
-      if (auto st = peer_front->listen(0); !st.is_ok()) return st;
-      net::ReactorServer* front_raw = front.get();
-      server_collectors_.push_back(srv->metrics_registry().add_collector(
-          [front_raw, pool, peer_pool](std::vector<obs::Sample>& out) {
-            collect_front_stats("dpss_server_net", front_raw->stats(), out);
-            collect_pool_stats(pool->stats(), out);
-            collect_pool_stats(peer_pool->stats(), out,
-                               "dpss_util_peer_pool");
-          }));
-      server_fronts_.push_back(std::move(front));
-      peer_fronts_.push_back(std::move(peer_front));
-    }
-
-    // The master's exposition additionally carries the shared reactor
-    // pool's per-loop counters (labelled loop="N") and its own front door.
-    master_collector_ = master_.metrics_registry().add_collector(
-        [this](std::vector<obs::Sample>& out) {
-          const auto loops = reactor_stats();
-          for (std::size_t i = 0; i < loops.size(); ++i) {
-            const std::string label = "loop=\"" + std::to_string(i) + "\"";
-            auto emit = [&](const char* name, double v) {
-              out.push_back(obs::Sample{name, label, v});
-            };
-            emit("net_reactor_wakeups_total",
-                 static_cast<double>(loops[i].wakeups));
-            emit("net_reactor_fd_dispatches_total",
-                 static_cast<double>(loops[i].fd_dispatches));
-            emit("net_reactor_timers_fired_total",
-                 static_cast<double>(loops[i].timers_fired));
-            emit("net_reactor_tasks_run_total",
-                 static_cast<double>(loops[i].tasks_run));
-            emit("net_reactor_fds", static_cast<double>(loops[i].fds));
-            emit("net_reactor_timers_pending",
-                 static_cast<double>(loops[i].timers_pending));
-            emit("net_reactor_tasks_queued",
-                 static_cast<double>(loops[i].tasks_queued));
-            // USE view of the loop: busy fraction (utilization) and
-            // dispatch wait quantiles (saturation of the task queue).
-            emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
-            emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
-            emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
-            const auto dw =
-                reactors_->at(static_cast<int>(i)).dispatch_wait();
-            emit("dpss_util_loop_dispatch_wait_seconds_count",
-                 static_cast<double>(dw.count));
-            emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
-            emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
-            emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
-          }
-          double busy_max = 0.0;
-          for (const auto& l : loops)
-            busy_max = std::max(busy_max, l.busy_fraction());
-          out.push_back(
-              {"dpss_util_loop_busy_fraction_max", "", busy_max});
-          collect_front_stats("dpss_master_net", master_net_stats(), out,
-                              "master");
-        });
-  } else {
-    if (auto st = master_listener_.listen(0); !st.is_ok()) return st;
-    accept_threads_.emplace_back([this] {
-      for (;;) {
-        auto stream = master_listener_.accept();
-        if (!stream.is_ok()) return;
-        master_.serve(stream.value());
-      }
-    });
-    for (auto& server : servers_) {
-      auto listener = std::make_unique<net::TcpListener>();
-      if (auto st = listener->listen(0); !st.is_ok()) return st;
-      net::TcpListener* raw = listener.get();
-      BlockServer* srv = server.get();
-      accept_threads_.emplace_back([raw, srv] {
-        for (;;) {
-          auto stream = raw->accept();
-          if (!stream.is_ok()) return;
-          srv->serve(stream.value());
-        }
-      });
-      addresses_.push_back(ServerAddress{"127.0.0.1", listener->port()});
-      server_listeners_.push_back(std::move(listener));
-    }
+  // Marked up front so a failure below unwinds through stop(), the one
+  // teardown path: a half-built transport left behind would be torn down
+  // under the next attempt's feet.
+  started_ = true;
+  auto st = options_.serve_mode == ServeMode::kReactor ? open_reactor_fronts()
+                                                       : open_accept_threads();
+  if (!st.is_ok()) {
+    stop();
+    return st;
   }
 
   // Chain forwarding and parity deltas travel plain loopback TCP, exactly
@@ -1016,52 +853,221 @@ core::Status TcpDeployment::start() {
           return net::TcpStream::connect(target.host, target.port, copts);
         });
   }
-  started_ = true;
+  return core::Status::ok();
+}
+
+core::Status TcpDeployment::open_reactor_fronts() {
+  // One shared pool of event loops fronts the master and every block
+  // server; connections are dealt round-robin across the loops.
+  reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
+  net::ReactorServerOptions ropts;
+  ropts.request_read_timeout_seconds = options_.request_read_timeout_seconds;
+  ropts.write_queue_cap_bytes = options_.write_queue_cap_bytes;
+
+  // Master handlers are pure catalog/health bookkeeping -- they never
+  // block, so they run inline on the loops (workers = nullptr).
+  Master* master = &master_;
+  master_front_ = std::make_unique<net::ReactorServer>(
+      *reactors_,
+      [master](net::Message&& msg, std::uint64_t) {
+        return master->handle_request(std::move(msg));
+      },
+      ropts);
+  master_front_->set_read_timeout_observer(
+      [master] { master->note_read_timeout(); });
+  if (auto st = master_front_->listen(0); !st.is_ok()) return st;
+
+  for (auto& server : servers_) {
+    // Block-server handlers may sleep on the modelled disks or forward
+    // down a replica chain, so each server offloads to its own worker
+    // pool; per-server pools keep a forwarded hop from starving the
+    // downstream server's inbound capacity.
+    worker_pools_.push_back(std::make_unique<core::ThreadPool>(
+        std::max(1, options_.worker_threads)));
+    BlockServer* srv = server.get();
+    core::ThreadPool* pool = worker_pools_.back().get();
+    // Feed the pool's per-task wait/run timings into registered
+    // histograms so the exposition carries p50/p95/p99 saturation
+    // quantiles for each server's worker pool.
+    obs::Histogram& wait_hist =
+        srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
+    obs::Histogram& run_hist =
+        srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
+    pool->set_task_observer(
+        [&wait_hist, &run_hist](double wait_s, double run_s) {
+          wait_hist.observe(wait_s);
+          run_hist.observe(run_s);
+        });
+    auto front = std::make_unique<net::ReactorServer>(
+        *reactors_,
+        [srv](net::Message&& msg, std::uint64_t conn_id) {
+          return srv->handle_request(std::move(msg), conn_id);
+        },
+        ropts, pool);
+    front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
+    if (auto st = front->listen(0); !st.is_ok()) return st;
+    {
+      std::lock_guard lk(state_mu_);
+      addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});
+    }
+    // Second door for server-to-server traffic, on an ELASTIC pool:
+    // client writes saturating the main pool must never starve an
+    // incoming chain forward, and a forward blocked on the next hop must
+    // never starve that hop's own forward (see the peer_fronts_ comment
+    // in the header).  Elasticity is what makes the argument hold at
+    // every chain depth: a peer task always gets a worker, so blocking
+    // chains bottom out at the terminal hop instead of deadlocking on
+    // pool capacity.
+    peer_pools_.push_back(std::make_unique<core::ThreadPool>(
+        std::max(1, options_.worker_threads), /*elastic=*/true));
+    core::ThreadPool* peer_pool = peer_pools_.back().get();
+    auto peer_front = std::make_unique<net::ReactorServer>(
+        *reactors_,
+        [srv](net::Message&& msg, std::uint64_t conn_id) {
+          return srv->handle_request(std::move(msg), conn_id);
+        },
+        ropts, peer_pool);
+    if (auto st = peer_front->listen(0); !st.is_ok()) return st;
+    // Surface this server's front-door transport counters and worker
+    // pool USE gauges through its own kStats registry (removed in stop()
+    // before the front and pool die).
+    net::ReactorServer* front_raw = front.get();
+    server_collectors_.push_back(srv->metrics_registry().add_collector(
+        [front_raw, pool, peer_pool](std::vector<obs::Sample>& out) {
+          collect_front_stats("dpss_server_net", front_raw->stats(), out);
+          collect_pool_stats(pool->stats(), out);
+          collect_pool_stats(peer_pool->stats(), out, "dpss_util_peer_pool");
+        }));
+    server_fronts_.push_back(std::move(front));
+    peer_fronts_.push_back(std::move(peer_front));
+  }
+
+  // The master's exposition additionally carries the shared reactor
+  // pool's per-loop counters (labelled loop="N") and its own front door.
+  master_collector_ = master_.metrics_registry().add_collector(
+      [this](std::vector<obs::Sample>& out) {
+        const auto loops = reactor_stats();
+        for (std::size_t i = 0; i < loops.size(); ++i) {
+          const std::string label = "loop=\"" + std::to_string(i) + "\"";
+          auto emit = [&](const char* name, double v) {
+            out.push_back(obs::Sample{name, label, v});
+          };
+          emit("net_reactor_wakeups_total",
+               static_cast<double>(loops[i].wakeups));
+          emit("net_reactor_fd_dispatches_total",
+               static_cast<double>(loops[i].fd_dispatches));
+          emit("net_reactor_timers_fired_total",
+               static_cast<double>(loops[i].timers_fired));
+          emit("net_reactor_tasks_run_total",
+               static_cast<double>(loops[i].tasks_run));
+          emit("net_reactor_fds", static_cast<double>(loops[i].fds));
+          emit("net_reactor_timers_pending",
+               static_cast<double>(loops[i].timers_pending));
+          emit("net_reactor_tasks_queued",
+               static_cast<double>(loops[i].tasks_queued));
+          // USE view of the loop: busy fraction (utilization) and
+          // dispatch wait quantiles (saturation of the task queue).
+          emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
+          emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
+          emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
+          const auto dw = reactors_->at(static_cast<int>(i)).dispatch_wait();
+          emit("dpss_util_loop_dispatch_wait_seconds_count",
+               static_cast<double>(dw.count));
+          emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
+          emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
+          emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
+        }
+        double busy_max = 0.0;
+        for (const auto& l : loops)
+          busy_max = std::max(busy_max, l.busy_fraction());
+        out.push_back({"dpss_util_loop_busy_fraction_max", "", busy_max});
+        collect_front_stats("dpss_master_net", master_net_stats(), out,
+                            "master");
+      });
+  return core::Status::ok();
+}
+
+core::Status TcpDeployment::open_accept_threads() {
+  // Fresh listeners per start: a closed TcpListener cannot listen again.
+  master_listener_ = std::make_unique<net::TcpListener>();
+  if (auto st = master_listener_->listen(0); !st.is_ok()) return st;
+  accept_threads_.emplace_back([this] {
+    for (;;) {
+      auto stream = master_listener_->accept();
+      if (!stream.is_ok()) return;
+      master_.serve(stream.value());
+    }
+  });
+  for (auto& server : servers_) {
+    auto listener = std::make_unique<net::TcpListener>();
+    if (auto st = listener->listen(0); !st.is_ok()) return st;
+    net::TcpListener* raw = listener.get();
+    BlockServer* srv = server.get();
+    accept_threads_.emplace_back([raw, srv] {
+      for (;;) {
+        auto stream = raw->accept();
+        if (!stream.is_ok()) return;
+        srv->serve(stream.value());
+      }
+    });
+    {
+      std::lock_guard lk(state_mu_);
+      addresses_.push_back(ServerAddress{"127.0.0.1", listener->port()});
+    }
+    server_listeners_.push_back(std::move(listener));
+  }
   return core::Status::ok();
 }
 
 void TcpDeployment::stop() {
   if (!started_) return;
-  if (options_.serve_mode == ServeMode::kReactor) {
-    // Unregister the stats collectors before their backing fronts die.
-    if (master_collector_ != 0) {
-      master_.metrics_registry().remove_collector(master_collector_);
-      master_collector_ = 0;
-    }
-    for (std::size_t i = 0; i < server_collectors_.size(); ++i) {
-      servers_[i]->metrics_registry().remove_collector(server_collectors_[i]);
-    }
-    server_collectors_.clear();
-    // close() waits until no handler is running or queued, so the servers
-    // and master the handlers capture outlive every dispatch.
-    if (master_front_) master_front_->close();
-    for (auto& f : server_fronts_) {
-      if (f) f->close();
-    }
-    for (auto& f : peer_fronts_) {
-      if (f) f->close();
-    }
-    master_front_.reset();
-    server_fronts_.clear();
-    peer_fronts_.clear();
-    worker_pools_.clear();
-    peer_pools_.clear();
-    reactors_.reset();
-  } else {
-    master_listener_.close();
-    for (auto& l : server_listeners_) l->close();
-    for (auto& t : accept_threads_) {
-      if (t.joinable()) t.join();
-    }
-    accept_threads_.clear();
+  // Unregister the stats collectors before their backing fronts die.
+  if (master_collector_ != 0) {
+    master_.metrics_registry().remove_collector(master_collector_);
+    master_collector_ = 0;
   }
-  master_.shutdown();
-  for (auto& s : servers_) s->shutdown();
+  for (std::size_t i = 0; i < server_collectors_.size(); ++i) {
+    servers_[i]->metrics_registry().remove_collector(server_collectors_[i]);
+  }
+  server_collectors_.clear();
+  // close() waits until no handler is running or queued, so the servers
+  // and master the handlers capture outlive every dispatch.
+  if (master_front_) master_front_->close();
+  for (auto& f : server_fronts_) f->close();
+  for (auto& f : peer_fronts_) f->close();
+  master_front_.reset();
+  server_fronts_.clear();
+  peer_fronts_.clear();
+  worker_pools_.clear();
+  peer_pools_.clear();
+  reactors_.reset();
+  // Thread-per-connection mode: closing a listener wakes its accept loop.
+  if (master_listener_) master_listener_->close();
+  for (auto& l : server_listeners_) l->close();
+  for (auto& t : accept_threads_) {
+    if (t.joinable()) t.join();
+  }
+  accept_threads_.clear();
+  master_listener_.reset();
+  server_listeners_.clear();
+  {
+    std::lock_guard lk(state_mu_);
+    addresses_.clear();
+  }
+  shutdown_components();
   started_ = false;
 }
 
+void TcpDeployment::close_door(int i) {
+  const auto at = static_cast<std::size_t>(i);
+  if (at < server_fronts_.size()) server_fronts_[at]->close();
+  if (at < peer_fronts_.size()) peer_fronts_[at]->close();
+  if (at < server_listeners_.size()) server_listeners_[at]->close();
+}
+
 std::uint16_t TcpDeployment::master_port() const {
-  return master_front_ ? master_front_->port() : master_listener_.port();
+  if (master_front_) return master_front_->port();
+  return master_listener_ ? master_listener_->port() : 0;
 }
 
 std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {
@@ -1069,8 +1075,7 @@ std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {
 }
 
 net::ReactorServerStats TcpDeployment::server_net_stats(int i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= server_fronts_.size() ||
-      !server_fronts_[static_cast<std::size_t>(i)]) {
+  if (i < 0 || static_cast<std::size_t>(i) >= server_fronts_.size()) {
     return {};
   }
   return server_fronts_[static_cast<std::size_t>(i)]->stats();
@@ -1080,31 +1085,8 @@ net::ReactorServerStats TcpDeployment::master_net_stats() const {
   return master_front_ ? master_front_->stats() : net::ReactorServerStats{};
 }
 
-ServerAddress TcpDeployment::server_address(int i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= addresses_.size()) return {};
-  return addresses_[static_cast<std::size_t>(i)];
-}
-
-core::Status TcpDeployment::ingest(const vol::DatasetDesc& desc,
-                                   std::uint32_t block_bytes,
-                                   std::uint32_t stripe_blocks,
-                                   std::uint32_t replication_factor,
-                                   const codec::EcProfile& ec) {
-  if (!started_) {
-    if (auto st = start(); !st.is_ok()) return st;
-  }
-  std::vector<BlockServer*> raw;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-  }
-  return ingest_dataset(master_, std::move(raw), addresses_, desc,
-                        block_bytes, stripe_blocks, replication_factor, ec);
-}
-
 core::Result<DpssClient> TcpDeployment::make_client() {
-  if (!started_) {
-    if (auto st = start(); !st.is_ok()) return st;
-  }
+  if (auto st = start(); !st.is_ok()) return st;
   const net::ConnectOptions copts = connect_options();
   auto master_stream =
       net::TcpStream::connect("127.0.0.1", master_port(), copts);
@@ -1114,122 +1096,6 @@ core::Result<DpssClient> TcpDeployment::make_client() {
     return net::TcpStream::connect(addr.host, addr.port, copts);
   };
   return DpssClient(std::move(master_stream).take(), std::move(connector));
-}
-
-void TcpDeployment::kill_server(int i) {
-  {
-    std::lock_guard lk(state_mu_);
-    if (!started_ || i < 0 ||
-        static_cast<std::size_t>(i) >= servers_.size() ||
-        killed_[static_cast<std::size_t>(i)]) {
-      return;
-    }
-    killed_[static_cast<std::size_t>(i)] = 1;
-  }
-  // Stop the front door first (reactor close drains in-flight handlers;
-  // listener close wakes the accept thread), then shut the server down to
-  // drop its pooled peer links.
-  if (options_.serve_mode == ServeMode::kReactor) {
-    server_fronts_[static_cast<std::size_t>(i)]->close();
-    if (static_cast<std::size_t>(i) < peer_fronts_.size() &&
-        peer_fronts_[static_cast<std::size_t>(i)]) {
-      peer_fronts_[static_cast<std::size_t>(i)]->close();
-    }
-  } else {
-    server_listeners_[static_cast<std::size_t>(i)]->close();
-  }
-  servers_[static_cast<std::size_t>(i)]->shutdown();
-}
-
-bool TcpDeployment::server_killed(int i) const {
-  std::lock_guard lk(state_mu_);
-  return i >= 0 && static_cast<std::size_t>(i) < servers_.size() &&
-         killed_[static_cast<std::size_t>(i)];
-}
-
-void TcpDeployment::wipe_server(int i) {
-  kill_server(i);
-  if (i < 0 || static_cast<std::size_t>(i) >= servers_.size()) return;
-  servers_[static_cast<std::size_t>(i)]->wipe();
-  master_.health().mark_down(server_address(i));
-}
-
-void TcpDeployment::heartbeat_all(double now) {
-  std::vector<std::pair<int, std::uint64_t>> beats;
-  std::vector<meta::GenerationFloor> floors;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (killed_[i]) continue;
-      beats.emplace_back(static_cast<int>(i), servers_[i]->requests_served());
-      for (const auto& name : servers_[i]->dataset_names()) {
-        floors.push_back({name, servers_[i]->max_generation(name)});
-      }
-    }
-  }
-  for (const auto& [i, served] : beats) {
-    master_.heartbeat(server_address(i), served, now);
-  }
-  master_.gossip().merge(floors);
-}
-
-void TcpDeployment::enable_auto_rebalance(double down_deadline_seconds) {
-  master_.enable_auto_rebalance(
-      AutoRebalanceConfig{down_deadline_seconds},
-      [this](const placement::RebalancePlan& plan) {
-        return apply_rebalance_plan(
-            plan, [this](const ServerAddress& a) { return server_for(a); });
-      });
-}
-
-void TcpDeployment::enable_fixups() {
-  master_.set_fixup_executor([this](const ingest::FixupTask& task) {
-    return apply_fixup(task, master_,
-                       [this](const ServerAddress& a) { return server_for(a); });
-  });
-}
-
-void TcpDeployment::enable_trace_collection(std::size_t sink_capacity) {
-  trace_exports_.clear();
-  trace_exports_.push_back(make_trace_export(
-      "master", sink_capacity,
-      [this](std::shared_ptr<netlog::NetLogger> l) {
-        master_.set_logger(std::move(l));
-      }));
-  for (auto& server : servers_) {
-    BlockServer* s = server.get();
-    trace_exports_.push_back(make_trace_export(
-        s->name(), sink_capacity, [s](std::shared_ptr<netlog::NetLogger> l) {
-          s->set_logger(std::move(l));
-        }));
-  }
-}
-
-std::uint64_t TcpDeployment::export_spans() {
-  std::uint64_t accepted = 0;
-  for (auto& e : trace_exports_) {
-    accepted += export_spans_to_master(master_, *e);
-  }
-  return accepted;
-}
-
-BlockServer* TcpDeployment::server_for(const ServerAddress& addr) {
-  for (std::size_t i = 0; i < addresses_.size(); ++i) {
-    if (addresses_[i] == addr) return servers_[i].get();
-  }
-  return nullptr;
-}
-
-core::Status TcpDeployment::rebalance_dataset(const std::string& name) {
-  std::vector<ServerAddress> live;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (!killed_[i]) live.push_back(server_address(static_cast<int>(i)));
-    }
-  }
-  return rebalance_live(master_, name, std::move(live),
-                        [this](const ServerAddress& a) { return server_for(a); });
 }
 
 }  // namespace visapult::dpss

@@ -1,15 +1,19 @@
-// DPSS deployments: wiring master + servers + clients over a transport.
+// DPSS deployments: one master + block-server farm over a transport.
 //
-// Two deployments of the same components:
+// The paper's point is that the same DPSS cache can sit anywhere on the
+// network -- co-located with the back end or across a WAN.  `Deployment`
+// is that cache: it owns the master, the block servers, their addresses
+// and the killed set, and defines every transport-independent operation
+// once.  Two subclasses differ only in how a server is reached:
 //   * PipeDeployment -- everything in-process over in-memory pipes; used by
 //     unit/integration tests and the quickstart example.
 //   * TcpDeployment -- master and servers listening on real loopback TCP
-//     ports with accept threads; used by the dpss_tool example and the
-//     socket integration tests.
+//     ports (epoll reactor fronts or accept threads); used by the dpss_tool
+//     example and the socket integration tests.
 //
-// Both provide ingest helpers that stripe a generated dataset across the
-// block servers and register it with the master -- the reproduction of
-// "migrate the files from HPSS to a nearby DPSS cache".  Ingesting with
+// ingest() stripes a generated dataset across the block servers and
+// registers it with the master -- the reproduction of "migrate the files
+// from HPSS to a nearby DPSS cache".  Ingesting with
 // `replication_factor > 1` places each block on that many servers via the
 // placement ring and writes every replica, enabling client failover.
 // Ingesting with an enabled codec::EcProfile instead erasure-codes: each
@@ -62,24 +66,26 @@ struct TraceExport {
 // remote exporter's batch goes through).  Returns spans accepted.
 std::uint64_t export_spans_to_master(Master& master, TraceExport& e);
 
-class PipeDeployment {
+// The transport-independent half of a deployment: the master, the block
+// servers and their addresses, the killed set, trace exports, and every
+// operation that only needs those.  Subclasses supply the transport.
+class Deployment {
  public:
-  // `server_count` block servers, all with the same disk model and memory
-  // tier configuration.
-  explicit PipeDeployment(int server_count, DiskModel disk = {},
-                          ServerCacheConfig cache = ServerCacheConfig());
-  ~PipeDeployment();
+  Deployment(const Deployment&) = delete;
+  Deployment& operator=(const Deployment&) = delete;
+  virtual ~Deployment();
 
   Master& master() { return master_; }
-  BlockServer& server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
-  int server_count() const { return static_cast<int>(servers_.size()); }
+  BlockServer& server(int i);
+  int server_count() const;
+  // Where clients and peers reach server `i` (empty before a TCP start()).
   ServerAddress server_address(int i) const;
 
   // Stripe `desc`'s timesteps into the store and register "<name>" with the
   // master.  The whole time series is one logical DPSS file; timestep t
   // occupies bytes [t*step_bytes, (t+1)*step_bytes).  With
   // `replication_factor > 1` each block lands on that many ring-placed
-  // servers.
+  // servers.  A TCP deployment starts itself first if needed.
   core::Status ingest(const vol::DatasetDesc& desc,
                       std::uint32_t block_bytes = kDefaultBlockBytes,
                       std::uint32_t stripe_blocks = 1,
@@ -92,25 +98,19 @@ class PipeDeployment {
                                    const render::TransferFunction& tf,
                                    const ThumbnailOptions& options = {});
 
-  // New client with pipes to master and servers.
-  DpssClient make_client();
-
   // ---- failure scenarios ----
-  // Stop serving from server `i`: existing connections drop, new connects
-  // are refused.  The block store survives (a dead machine's disks are not
-  // wiped), so a later revive_server() or rebalance copy can read it.
+  // Stop serving from server `i`: its door closes, existing connections
+  // drop, new connects are refused.  The block store survives (a dead
+  // machine's disks are not wiped), so a later revive or rebalance copy
+  // can read it.  A no-op on a TCP deployment that is not started.
   void kill_server(int i);
-  // Rejoin: accept connections again and heartbeat the master back to up.
-  void revive_server(int i);
   bool server_killed(int i) const;
-  // Join an empty server to the farm; returns its index.  Call
-  // rebalance_dataset() to give it blocks.
-  int add_server();
   // Kill server `i` AND wipe its block store: a disk loss, not just a
   // process death.  Rebalance copies sourced here must reconstruct.
   void wipe_server(int i);
   // Heartbeat every live server's liveness + served-request load into the
-  // master's health tracker at time `now` (seconds on the caller's clock).
+  // master's health tracker at time `now` (seconds on the caller's clock),
+  // carrying each server's per-dataset generation floors.
   void heartbeat_all(double now = 0.0);
   // Recompute `name`'s placement over the live (non-killed) servers and
   // execute the copy/drop plan.  Ring-placed datasets only.
@@ -123,7 +123,7 @@ class PipeDeployment {
   // master().tick(now).
   void enable_fixups();
 
-  // ---- trace aggregation (PR 8) ----
+  // ---- trace aggregation ----
   // Attach a real-clock NetLogger (bounded MemorySink) to the master and
   // every block server so traced requests leave lifeline events to export.
   // Call before driving traced load.
@@ -133,22 +133,66 @@ class PipeDeployment {
   // the caller's (see export_spans_to_master).
   std::uint64_t export_spans();
 
- private:
+ protected:
+  // `server_count` block servers, all with the same disk model and memory
+  // tier configuration; `throttle` enables the disk service-time model.
+  Deployment(int server_count, DiskModel disk, bool throttle,
+             ServerCacheConfig cache);
+
+  // ---- transport hooks ----
+  // Bring the transport up before servers are addressed (TCP: start()).
+  virtual core::Status ensure_serving() { return core::Status::ok(); }
+  // Whether the transport is up, i.e. there is a door to close.
+  virtual bool serving() const { return true; }
+  // Close killed server `i`'s door so new connects are refused; in-flight
+  // connections then drop through the server's own shutdown.
+  virtual void close_door(int i) = 0;
+
+  // Drop every served connection of the master and the servers (joins
+  // their service threads and pooled peer links).
+  void shutdown_components();
+  // The block server listening at `addr`, or null when there is none.
   BlockServer* server_for(const ServerAddress& addr);
-  // Transport the servers use to reach each other (chain forwarding and
-  // parity deltas); goes through the same liveness gate as client
-  // connects, so a hop into a killed server fails like a client would.
-  Connector make_peer_connector();
 
   Master master_;
-  DiskModel disk_;
-  ServerCacheConfig cache_config_;
-  // Guards servers_/killed_ membership against concurrent client connects
-  // and kill/revive/add (the failure-scenario tests exercise exactly that).
+  // Guards servers_/addresses_/killed_ membership against concurrent
+  // client connects and kill/revive/add (the failure-scenario tests
+  // exercise exactly that).
   mutable std::mutex state_mu_;
   std::vector<std::unique_ptr<BlockServer>> servers_;
+  // Index-aligned with servers_; a TCP deployment fills it at start().
+  std::vector<ServerAddress> addresses_;
   std::vector<char> killed_;
+
+ private:
   std::vector<std::unique_ptr<TraceExport>> trace_exports_;
+};
+
+class PipeDeployment : public Deployment {
+ public:
+  explicit PipeDeployment(int server_count, DiskModel disk = {},
+                          ServerCacheConfig cache = ServerCacheConfig());
+  ~PipeDeployment() override;
+
+  // New client with pipes to master and servers.
+  DpssClient make_client();
+
+  // Rejoin: accept connections again and heartbeat the master back to up.
+  void revive_server(int i);
+  // Join an empty server to the farm; returns its index.  Call
+  // rebalance_dataset() to give it blocks.
+  int add_server();
+
+ private:
+  // The killed flag is a pipe server's door: connector() refuses it.
+  void close_door(int) override {}
+  // How clients and servers (chain forwarding, parity deltas) reach a
+  // server: a fresh pipe, through the liveness gate, so a hop into a
+  // killed server fails like a client connect would.
+  Connector connector();
+
+  DiskModel disk_;
+  ServerCacheConfig cache_config_;
 };
 
 // How a TcpDeployment services connections.
@@ -184,23 +228,23 @@ struct TcpDeploymentOptions {
   std::size_t write_queue_cap_bytes = 4u << 20;
 };
 
-class TcpDeployment {
+class TcpDeployment : public Deployment {
  public:
-  // Starts listeners (reactor-backed or accept threads per `options`).
-  // `throttle` enables the disk service-time model on the live servers.
+  // Listeners (reactor-backed or accept threads per `options`) open at
+  // start().  `throttle` enables the disk service-time model on the live
+  // servers.
   TcpDeployment(int server_count, DiskModel disk = {}, bool throttle = false,
                 ServerCacheConfig cache = ServerCacheConfig(),
                 TcpDeploymentOptions options = {});
-  ~TcpDeployment();
+  ~TcpDeployment() override;
 
+  // Open every listener.  A failed start tears down what it built, so a
+  // later start() (or an implicit one from ingest/make_client) retries
+  // from scratch.
   core::Status start();
   void stop();
 
-  Master& master() { return master_; }
-  BlockServer& server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
-  int server_count() const { return static_cast<int>(servers_.size()); }
   std::uint16_t master_port() const;
-  ServerAddress server_address(int i) const;
   ServeMode serve_mode() const { return options_.serve_mode; }
 
   // ---- reactor introspection (empty / zero in thread mode) ----
@@ -210,45 +254,25 @@ class TcpDeployment {
   net::ReactorServerStats server_net_stats(int i) const;
   net::ReactorServerStats master_net_stats() const;
 
-  core::Status ingest(const vol::DatasetDesc& desc,
-                      std::uint32_t block_bytes = kDefaultBlockBytes,
-                      std::uint32_t stripe_blocks = 1,
-                      std::uint32_t replication_factor = 1,
-                      const codec::EcProfile& ec = {});
-
   // New client connected over loopback TCP.
   core::Result<DpssClient> make_client();
 
-  // ---- failure scenarios ----
-  // Close server `i`'s listener and drop its connections mid-flight; the
-  // port stays reserved in the catalog so replica ranking can skip it.
-  void kill_server(int i);
-  // kill_server plus a block-store wipe (disk loss).
-  void wipe_server(int i);
-  bool server_killed(int i) const;
-  void heartbeat_all(double now = 0.0);
-  core::Status rebalance_dataset(const std::string& name);
-  void enable_auto_rebalance(double down_deadline_seconds);
-  void enable_fixups();
-
-  // ---- trace aggregation (PR 8) ----
-  // Same contract as PipeDeployment: real-clock NetLoggers on master and
-  // servers, then export_spans() drains them into the master's collector.
-  void enable_trace_collection(std::size_t sink_capacity = 4096);
-  std::uint64_t export_spans();
-
  private:
-  BlockServer* server_for(const ServerAddress& addr);
+  core::Status ensure_serving() override { return start(); }
+  bool serving() const override { return started_; }
+  // Close server `i`'s listener (reactor close drains in-flight handlers;
+  // listener close wakes the accept thread).  The port stays reserved in
+  // the catalog so replica ranking can skip it.
+  void close_door(int i) override;
+  core::Status open_reactor_fronts();
+  core::Status open_accept_threads();
   net::ConnectOptions connect_options() const {
     return net::ConnectOptions{options_.connect_timeout_seconds};
   }
 
-  Master master_;
   TcpDeploymentOptions options_;
-  mutable std::mutex state_mu_;  // guards killed_
-  std::vector<std::unique_ptr<BlockServer>> servers_;
   // Thread-per-connection mode.
-  net::TcpListener master_listener_;
+  std::unique_ptr<net::TcpListener> master_listener_;
   std::vector<std::unique_ptr<net::TcpListener>> server_listeners_;
   std::vector<std::thread> accept_threads_;
   // Reactor mode.  Declaration order is teardown order in reverse: the
@@ -268,15 +292,12 @@ class TcpDeployment {
   // completes locally.
   std::vector<std::unique_ptr<core::ThreadPool>> peer_pools_;
   std::vector<std::unique_ptr<net::ReactorServer>> peer_fronts_;
-  std::vector<ServerAddress> addresses_;
-  std::vector<char> killed_;
   bool started_ = false;
   // Collector handles registered into the master's / servers' metrics
   // registries at start() (reactor-pool and front-door stats); removed in
   // stop() before the fronts they read from are torn down.
   std::uint64_t master_collector_ = 0;
   std::vector<std::uint64_t> server_collectors_;
-  std::vector<std::unique_ptr<TraceExport>> trace_exports_;
 };
 
 // Shared ingest logic: place the dataset blocks onto the given servers

@@ -68,10 +68,11 @@ struct MigrationReport {
 // The staging step: pull the whole file from the archive and stripe it
 // into the DPSS cache (block-level, WAN-tuned), registering it with the
 // master.  After this, Visapult back ends do block reads against the
-// cache -- never against HPSS.
+// cache -- never against HPSS.  A TcpDeployment cache must be started
+// (its server addresses exist from start() on).
 core::Result<MigrationReport> migrate_to_dpss(HpssArchive& archive,
                                               const std::string& name,
-                                              PipeDeployment& cache,
+                                              Deployment& cache,
                                               std::uint32_t block_bytes = kDefaultBlockBytes);
 
 }  // namespace visapult::dpss

@@ -1,8 +1,11 @@
 // DPSS over real loopback TCP sockets: the same client/master/server code
 // as the pipe tests, exercised through the kernel's network stack.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 
 #include <cstring>
+#include <filesystem>
 
 #include "dpss/deployment.h"
 #include "dpss/protocol.h"
@@ -117,6 +120,86 @@ TEST(DpssTcp, HostileSpanExportFrameLeavesMasterServing) {
   auto file = client.value().open(desc.name);
   EXPECT_TRUE(file.is_ok()) << file.status().to_string();
   deployment.stop();
+}
+
+// Open descriptors of this process and the highest one in use; the scan's
+// own directory fd is excluded.
+struct FdCensus {
+  int open = 0;
+  int highest = -1;
+};
+
+FdCensus fd_census() {
+  std::vector<int> fds;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    fds.push_back(std::stoi(e.path().filename().string()));
+  }
+  // The iterator's own descriptor is closed by now; skip it.
+  FdCensus c;
+  for (int fd : fds) {
+    if (::fcntl(fd, F_GETFD) == -1) continue;
+    ++c.open;
+    c.highest = std::max(c.highest, fd);
+  }
+  return c;
+}
+
+TEST(DpssTcp, FailedStartTearsDownSoARetrySucceeds) {
+  constexpr int kServers = 4;
+  TcpDeploymentOptions options;
+  options.reactor_loops = 1;  // a fixed descriptor cost per start
+  auto make = [&] {
+    return std::make_unique<TcpDeployment>(kServers, DiskModel{},
+                                           /*throttle=*/false,
+                                           ServerCacheConfig(), options);
+  };
+
+  // What one start costs: the loop's descriptors, the master front, and
+  // two doors per server.
+  int start_fds = 0;
+  {
+    auto probe = make();
+    const int before = fd_census().open;
+    ASSERT_TRUE(probe->start().is_ok());
+    start_fds = fd_census().open - before;
+    probe->stop();
+  }
+  ASSERT_GE(start_fds, 1 + 2 * kServers);
+
+  auto deployment = make();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // Room for all but the last three doors: start() fails partway through
+  // the server fronts, with the master front already listening.  Every
+  // open descriptor sits below the limit, so exactly the budget is free.
+  const FdCensus now = fd_census();
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(now.open + start_fds - 3);
+  ASSERT_GT(static_cast<int>(low.rlim_cur), now.highest);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  const core::Status failed = deployment->start();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_NE(failed.message().find("Too many open files"), std::string::npos)
+      << failed.to_string();
+  // Nothing of the failed attempt is left open.
+  EXPECT_EQ(fd_census().open, now.open);
+
+  // The retry builds everything afresh and serves.
+  ASSERT_TRUE(deployment->start().is_ok());
+  const vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  ASSERT_TRUE(deployment->ingest(desc, 8192).is_ok());
+  auto client = deployment->make_client();
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  const vol::Volume v = desc.generate(0);
+  std::vector<std::uint8_t> buf(v.byte_size());
+  auto n = file.value()->read(buf.data(), buf.size());
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  ASSERT_EQ(n.value(), buf.size());
+  EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+  deployment->stop();
 }
 
 }  // namespace
