@@ -93,13 +93,23 @@ BlockData BlockCache::lookup(const BlockKey& key) {
 }
 
 BlockCache::Pin BlockCache::lookup_pinned(const BlockKey& key) {
+  return pin(key, /*demand_miss=*/true);
+}
+
+BlockCache::Pin BlockCache::pin_resident(const BlockKey& key) {
+  return pin(key, /*demand_miss=*/false);
+}
+
+BlockCache::Pin BlockCache::pin(const BlockKey& key, bool demand_miss) {
   Shard& shard = shard_for(key);
   BlockData data;
   std::size_t bytes = 0;
   {
     std::lock_guard lk(shard.mu);
-    if (shard.sketch) shard.sketch->record(BlockKeyHash{}(key));
     auto it = shard.map.find(key);
+    if (shard.sketch && (demand_miss || it != shard.map.end())) {
+      shard.sketch->record(BlockKeyHash{}(key));
+    }
     if (it != shard.map.end()) {
       data = it->second.data;
       bytes = it->second.charge;
@@ -116,8 +126,10 @@ BlockCache::Pin BlockCache::lookup_pinned(const BlockKey& key) {
     log_event(netlog::tags::kCacheHit, key, bytes);
     return Pin(this, key, std::move(data));
   }
-  metrics_.count_miss();
-  log_event(netlog::tags::kCacheMiss, key, 0);
+  if (demand_miss) {
+    metrics_.count_miss();
+    log_event(netlog::tags::kCacheMiss, key, 0);
+  }
   return Pin();
 }
 

@@ -92,6 +92,11 @@ class BlockCache {
   BlockData lookup(const BlockKey& key);
   // Demand lookup that also pins the entry.  Counted.
   Pin lookup_pinned(const BlockKey& key);
+  // lookup_pinned for a caller that retries a miss elsewhere: a hit is
+  // pinned and counted exactly as above, a miss leaves no trace (no miss
+  // count, no admission-sketch record) so the retry's own lookup counts it
+  // once.
+  Pin pin_resident(const BlockKey& key);
   // Residency probe: no policy refresh, no metrics.
   bool contains(const BlockKey& key) const;
 
@@ -154,6 +159,8 @@ class BlockCache {
 
   Shard& shard_for(const BlockKey& key);
   const Shard& shard_for(const BlockKey& key) const;
+  // lookup_pinned / pin_resident: `demand_miss` counts and records a miss.
+  Pin pin(const BlockKey& key, bool demand_miss);
   void unpin(const BlockKey& key);
   void log_event(const char* tag, const BlockKey& key, std::size_t bytes);
   // Erase one entry under the shard lock (policy + byte accounting).

@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace visapult::core {
 
@@ -37,8 +38,8 @@ double ThreadPool::clock_now() const {
 
 std::future<void> ThreadPool::submit(std::function<void()> fn) {
   Entry entry;
-  entry.task = std::packaged_task<void()>(std::move(fn));
-  auto fut = entry.task.get_future();
+  entry.fn = std::move(fn);
+  auto fut = entry.done.get_future();
   {
     std::lock_guard lk(mu_);
     entry.enqueued_at = clock_now();
@@ -47,8 +48,10 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
     queue_peak_ = std::max(queue_peak_, queue_.size());
     // Elastic growth: with every worker busy (possibly blocked on work
     // this very queue feeds), a queued task could wait forever.  Give it
-    // its own worker instead of gambling on one freeing up.
-    if (elastic_ && idle_ == 0 && !stopping_) {
+    // its own worker instead of gambling on one freeing up.  A parked
+    // worker already woken for an earlier task is not free for this one,
+    // so compare against the whole queue, not just zero.
+    if (elastic_ && queue_.size() > idle_ && !stopping_) {
       workers_.emplace_back([this] { worker_loop(); });
     }
   }
@@ -74,6 +77,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
+  // Every chunk must finish before `fn` (the caller's) can go away, even
+  // when an early chunk threw.
+  for (auto& f : futs) f.wait();
   for (auto& f : futs) f.get();  // rethrows worker exceptions
 }
 
@@ -93,16 +99,28 @@ void ThreadPool::worker_loop() {
       observer = observer_;
       picked_at = clock_now();
     }
-    entry.task();
+    std::exception_ptr error;
+    try {
+      entry.fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
     double finished_at;
     {
       std::lock_guard lk(mu_);
       ++completed_;
       finished_at = clock_now();
     }
+    // Account before releasing the waiter: once the future is ready the
+    // submitter may tear down whatever the observer writes into.
     if (observer) {
       observer(std::max(0.0, picked_at - entry.enqueued_at),
                std::max(0.0, finished_at - picked_at));
+    }
+    if (error) {
+      entry.done.set_exception(error);
+    } else {
+      entry.done.set_value();
     }
   }
 }

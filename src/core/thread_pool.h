@@ -72,9 +72,11 @@ class ThreadPool {
   // Call before the first submit(); the pointer must outlive the pool.
   void set_clock(const Clock* clock);
 
-  // Invoked once per task, after it ran, from the worker thread that ran
-  // it: (seconds queued, seconds executing).  Call before the first
-  // submit(); the observer must be thread-safe.
+  // Invoked once per task, after it ran and before its future turns ready,
+  // from the worker thread that ran it: (seconds queued, seconds
+  // executing).  A caller that waits on the future therefore never sees
+  // an observer call still pending.  Call before the first submit(); the
+  // observer must be thread-safe.
   using TaskObserver = std::function<void(double wait_seconds,
                                           double run_seconds)>;
   void set_task_observer(TaskObserver observer);
@@ -83,7 +85,8 @@ class ThreadPool {
 
  private:
   struct Entry {
-    std::packaged_task<void()> task;
+    std::function<void()> fn;
+    std::promise<void> done;  // made ready after the observer has run
     double enqueued_at = 0.0;
   };
 

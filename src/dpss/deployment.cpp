@@ -59,6 +59,8 @@ void collect_front_stats(const std::string& prefix,
   emit("_connections_accepted_total", static_cast<double>(s.accepted));
   emit("_connections_closed_total", static_cast<double>(s.closed));
   emit("_requests_total", static_cast<double>(s.requests));
+  emit("_inline_requests_total", static_cast<double>(s.inline_requests));
+  emit("_handler_failures_total", static_cast<double>(s.handler_failures));
   emit("_read_timeouts_total", static_cast<double>(s.read_timeouts));
   emit("_overflow_closes_total", static_cast<double>(s.overflow_closes));
   emit("_accept_failures_total", static_cast<double>(s.accept_failures));
@@ -860,6 +862,7 @@ core::Status TcpDeployment::open_reactor_fronts() {
   // One shared pool of event loops fronts the master and every block
   // server; connections are dealt round-robin across the loops.
   reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
+  if (auto st = reactors_->status(); !st.is_ok()) return st;
   net::ReactorServerOptions ropts;
   ropts.request_read_timeout_seconds = options_.request_read_timeout_seconds;
   ropts.write_queue_cap_bytes = options_.write_queue_cap_bytes;
@@ -878,10 +881,12 @@ core::Status TcpDeployment::open_reactor_fronts() {
   if (auto st = master_front_->listen(0); !st.is_ok()) return st;
 
   for (auto& server : servers_) {
-    // Block-server handlers may sleep on the modelled disks or forward
-    // down a replica chain, so each server offloads to its own worker
-    // pool; per-server pools keep a forwarded hop from starving the
-    // downstream server's inbound capacity.
+    // A block read whose block is resident in the memory tier is answered
+    // on the connection's loop (BlockServer::handle_resident_read).  Every
+    // other request may sleep on the modelled disks or forward down a
+    // replica chain, so each server offloads it to its own worker pool;
+    // per-server pools keep a forwarded hop from starving the downstream
+    // server's inbound capacity.
     worker_pools_.push_back(std::make_unique<core::ThreadPool>(
         std::max(1, options_.worker_threads)));
     BlockServer* srv = server.get();
@@ -904,6 +909,9 @@ core::Status TcpDeployment::open_reactor_fronts() {
           return srv->handle_request(std::move(msg), conn_id);
         },
         ropts, pool);
+    front->set_loop_handler([srv](net::Message& msg, std::uint64_t conn_id) {
+      return srv->handle_resident_read(msg, conn_id);
+    });
     front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
     if (auto st = front->listen(0); !st.is_ok()) return st;
     {

@@ -210,10 +210,11 @@ struct TcpDeploymentOptions {
   ServeMode serve_mode = ServeMode::kReactor;
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
-  // Handler offload threads per block server (reactor mode).  Block-server
-  // handlers may block (modelled disk sleeps, chain forwarding to peers),
-  // so they never run on the event loops; per-server pools keep an A->B
-  // forward from competing with B's own inbound work.
+  // Handler offload threads per block server (reactor mode).  Only block
+  // reads already resident in the memory tier are answered on the event
+  // loops; every other block-server request may block (modelled disk
+  // sleeps, chain forwarding to peers) and runs here.  Per-server pools
+  // keep an A->B forward from competing with B's own inbound work.
   int worker_threads = 4;
   // Outbound connects (clients and server-to-server peer links) fail with
   // kDeadlineExceeded after this long instead of hanging on a dead or

@@ -300,16 +300,18 @@ double BlockServer::charge_disk(std::size_t block_bytes, int concurrent) {
 
 core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
     const std::string& dataset, std::uint64_t block, int concurrent,
-    std::uint64_t conn_id, bool* cache_hit, std::uint64_t* generation) {
+    std::uint64_t conn_id, cache::BlockCache::Pin pin, bool* cache_hit,
+    std::uint64_t* generation) {
   if (cache_) {
-    const cache::BlockKey key{dataset, block,
-                              block_generation(dataset, block)};
     // The pin keeps the block resident (not just alive) for the duration
     // of the reply construction.
-    cache::BlockCache::Pin pin = cache_->lookup_pinned(key);
+    if (!pin) {
+      pin = cache_->lookup_pinned(
+          cache::BlockKey{dataset, block, block_generation(dataset, block)});
+    }
     if (pin) {
       *cache_hit = true;
-      *generation = key.generation;
+      *generation = pin.key().generation;
       if (prefetcher_) {
         prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
       }
@@ -593,6 +595,29 @@ void BlockServer::service_loop(net::StreamPtr stream) {
 
 net::Message BlockServer::handle_request(net::Message&& msg,
                                          std::uint64_t conn_id) {
+  return serve(msg, conn_id, nullptr);
+}
+
+std::optional<net::Message> BlockServer::handle_resident_read(
+    net::Message& msg, std::uint64_t conn_id) {
+  if (msg.type != kBlockReadRequest || !cache_ ||
+      (prefetcher_ && !prefetch_pool_)) {
+    return std::nullopt;
+  }
+  auto req = decode_block_read_request(msg);
+  if (!req.is_ok() || req.value().compression.codec != Codec::kNone) {
+    return std::nullopt;
+  }
+  const cache::BlockKey key{req.value().dataset, req.value().block,
+                            block_generation(req.value().dataset,
+                                             req.value().block)};
+  ResidentRead resident{std::move(req).take(), cache_->pin_resident(key)};
+  if (!resident.pin) return std::nullopt;
+  return serve(msg, conn_id, &resident);
+}
+
+net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
+                                ResidentRead* resident) {
   const int concurrent = static_cast<int>(in_flight_.add(1));
   requests_.inc();
 
@@ -615,16 +640,19 @@ net::Message BlockServer::handle_request(net::Message&& msg,
       case kBlockReadRequest: {
         OBS_STAGE("serv.read");
         latency = &read_seconds_;
-        auto req = decode_block_read_request(msg);
+        auto req = resident ? core::Result<BlockReadRequest>(
+                                  std::move(resident->req))
+                            : decode_block_read_request(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
         }
         bool cache_hit = false;
         std::uint64_t generation = 0;
-        auto data = read_block_serviced(req.value().dataset, req.value().block,
-                                        concurrent, conn_id, &cache_hit,
-                                        &generation);
+        auto data = read_block_serviced(
+            req.value().dataset, req.value().block, concurrent, conn_id,
+            resident ? std::move(resident->pin) : cache::BlockCache::Pin(),
+            &cache_hit, &generation);
         if (!data.is_ok()) {
           reply = encode_error_reply(data.status());
           break;

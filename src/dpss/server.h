@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +156,15 @@ class BlockServer {
   // connection (allocate_conn_id()) for the per-connection stride
   // detector.  Thread-safe.
   net::Message handle_request(net::Message&& msg, std::uint64_t conn_id);
+  // The event-loop entry: serve `msg` exactly as handle_request would --
+  // same body, same accounting -- but only when that cannot block: an
+  // uncompressed block read whose block is pinned in the memory tier at its
+  // current generation.  Anything else (a miss, which would charge the
+  // modelled disk; a compressed read; writes, ingest and parity traffic;
+  // a prefetcher without its own pool, whose fills run inline) is declined:
+  // returns nullopt with `msg` untouched, for handle_request on a worker.
+  std::optional<net::Message> handle_resident_read(net::Message& msg,
+                                                   std::uint64_t conn_id);
   // Connection ids for callers driving handle_request() directly.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
@@ -211,15 +221,28 @@ class BlockServer {
     std::uint64_t failures = 0;
   };
 
+  // A block read already decoded and pinned in the memory tier by
+  // handle_resident_read.
+  struct ResidentRead {
+    BlockReadRequest req;
+    cache::BlockCache::Pin pin;
+  };
+
   void service_loop(net::StreamPtr stream);
+  // The one request body behind handle_request and handle_resident_read;
+  // `resident` (may be null) carries the latter's decoded, pinned read.
+  net::Message serve(const net::Message& msg, std::uint64_t conn_id,
+                     ResidentRead* resident);
   // Cache-tier read: warm hits skip the DiskModel entirely; misses charge
   // the model (sleeping in throttle mode), admit-on-fill, and notify the
-  // prefetcher.  `conn_id` identifies the client connection so concurrent
-  // PEs' interleaved strides are detected independently.  `generation`
+  // prefetcher.  A non-empty `pin` is the hit, already looked up.
+  // `conn_id` identifies the client connection so concurrent PEs'
+  // interleaved strides are detected independently.  `generation`
   // receives the served bytes' stamp.
   core::Result<std::vector<std::uint8_t>> read_block_serviced(
       const std::string& dataset, std::uint64_t block, int concurrent,
-      std::uint64_t conn_id, bool* cache_hit, std::uint64_t* generation);
+      std::uint64_t conn_id, cache::BlockCache::Pin pin, bool* cache_hit,
+      std::uint64_t* generation);
   // Prefetch path: stream one predicted block from the modelled disks into
   // the memory tier.
   void prefetch_fill(const std::string& dataset, std::uint64_t block);

@@ -42,7 +42,17 @@ std::uint32_t from_epoll(std::uint32_t e) {
 
 Reactor::Reactor() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    status_ = core::unavailable(std::string("epoll_create1: ") +
+                                std::strerror(errno));
+    return;
+  }
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    status_ = core::unavailable(std::string("eventfd: ") +
+                                std::strerror(errno));
+    return;
+  }
   thread_ = std::thread([this] { run(); });
 }
 
@@ -296,7 +306,13 @@ ReactorPool::ReactorPool(int loops) {
   reactors_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>());
+    if (!reactors_.back()->status().is_ok()) break;
   }
+}
+
+core::Status ReactorPool::status() const {
+  // Construction stops at the first loop that failed, so it is the last.
+  return reactors_.empty() ? core::Status::ok() : reactors_.back()->status();
 }
 
 Reactor& ReactorPool::next() {

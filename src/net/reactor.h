@@ -62,8 +62,14 @@ class Reactor {
 
   using FdHandler = std::function<void(std::uint32_t events)>;
 
+  // Opens the epoll instance and the wake eventfd and starts the loop
+  // thread.  When either descriptor cannot be had (fd exhaustion) no thread
+  // starts and status() says why; such a loop must not be used.
   Reactor();
   ~Reactor();  // stop() + join
+
+  // Whether the loop came up; kUnavailable naming the failed call if not.
+  const core::Status& status() const { return status_; }
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
@@ -123,6 +129,7 @@ class Reactor {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  core::Status status_;  // ok unless a descriptor could not be had
   std::atomic<bool> stopping_{false};
   std::thread thread_;
   std::thread::id loop_thread_id_;
@@ -162,6 +169,10 @@ class ReactorPool {
   // `loops` <= 0 picks one per hardware thread, capped at 8 (the loops are
   // I/O-bound; past the core count they only add wakeup shuffling).
   explicit ReactorPool(int loops = 0);
+
+  // The first loop that failed to come up, else ok.  A failed pool stops
+  // building loops at the failure and must not be used.
+  core::Status status() const;
 
   int size() const { return static_cast<int>(reactors_.size()); }
   Reactor& at(int i) { return *reactors_[static_cast<std::size_t>(i)]; }

@@ -12,12 +12,17 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 
 namespace visapult::net {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kFrameHeader = kFrameHeaderBytes;
+// Requests one connection may have answered on its loop back to back
+// before it yields to the loop's other connections (a pipelined burst
+// resumes from a posted task).
+constexpr int kInlineBurst = 64;
 }  // namespace
 
 struct Conn;
@@ -28,6 +33,9 @@ struct Conn;
 struct ReactorServer::State {
   ReactorPool& pool;
   Handler handler;
+  // Tried first on the loop; an inline server's is `handler` itself and
+  // never declines.
+  LoopHandler loop_handler;
   ReactorServerOptions opts;
   core::ThreadPool* workers;
   std::function<void()> timeout_observer;
@@ -40,14 +48,17 @@ struct ReactorServer::State {
   bool closing = false;
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns;
   std::uint64_t next_conn_id = 0;
-  // Handlers running or queued; close() waits for zero so handler captures
-  // (BlockServer, Master) can be torn down afterwards.
+  // Worker-pool handlers running or queued; close() waits for zero so
+  // handler captures (BlockServer, Master) can be torn down afterwards.
+  // Loop-side handlers need no count: their connection is still open.
   int in_flight = 0;
 
   // Counters (guarded by mu; queued_write_bytes adjusted from loop threads).
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
   std::uint64_t requests = 0;
+  std::uint64_t inline_requests = 0;
+  std::uint64_t handler_failures = 0;
   std::uint64_t read_timeouts = 0;
   std::uint64_t overflow_closes = 0;
   std::uint64_t accept_failures = 0;
@@ -59,7 +70,13 @@ struct ReactorServer::State {
 
   State(ReactorPool& p, Handler h, ReactorServerOptions o,
         core::ThreadPool* w)
-      : pool(p), handler(std::move(h)), opts(o), workers(w) {}
+      : pool(p), handler(std::move(h)), opts(o), workers(w) {
+    if (workers == nullptr) {
+      loop_handler = [this](Message& msg, std::uint64_t conn_id) {
+        return std::optional<Message>(handler(std::move(msg), conn_id));
+      };
+    }
+  }
 };
 
 // One accepted connection.  Every field is owned by `loop`'s thread; the
@@ -75,7 +92,9 @@ struct Conn : std::enable_shared_from_this<Conn> {
   std::deque<std::vector<std::uint8_t>> wq;
   std::size_t wq_head_off = 0;  // bytes of wq.front() already sent
   std::size_t wq_bytes = 0;
-  bool busy = false;    // a request is dispatched, its reply not yet queued
+  // Reading and parsing are paused: a request is on the workers, its reply
+  // not yet queued, or a pipelined burst yielded the loop.
+  bool busy = false;
   bool closed = false;
   std::uint32_t armed = 0;  // current epoll interest
   TimerWheel::TimerId read_timer = 0;
@@ -148,35 +167,29 @@ struct Conn : std::enable_shared_from_this<Conn> {
     state->bytes_read += n;
   }
 
-  // Parse at most one request off rbuf (dispatch is serial per
-  // connection) and manage the partial-request read timer.
+  // Serve the complete requests buffered in rbuf, strictly in order, and
+  // manage the partial-request read timer.  Replies answered on the loop
+  // queue and the walk goes on; a request handed to the workers pauses
+  // the connection until complete() resumes the walk.  Iterative, so a
+  // pipelined burst never recurses.
   void parse_and_dispatch() {
-    if (closed || busy) return;
-    compact();
-    const std::size_t avail = rbuf.size() - rpos;
-    if (avail >= kFrameHeader) {
-      std::uint32_t magic, type;
-      std::uint64_t len;
-      std::memcpy(&magic, rbuf.data() + rpos, 4);
-      std::memcpy(&type, rbuf.data() + rpos + 4, 4);
-      std::memcpy(&len, rbuf.data() + rpos + 8, 8);
-      if (magic != kMessageMagic || len > state->opts.max_payload) {
-        close_conn();  // desynchronised or hostile peer
+    for (int served = 0; !closed && !busy; ++served) {
+      if (served == kInlineBurst) {
+        busy = true;
+        update_interest();
+        auto self = shared_from_this();
+        loop->post([self] {
+          self->busy = false;
+          self->parse_and_dispatch();
+        });
         return;
       }
-      if (avail >= kFrameHeader + len) {
-        Message msg;
-        msg.type = type;
-        std::memcpy(&msg.trace_id, rbuf.data() + rpos + 16, 8);
-        std::memcpy(&msg.span_id, rbuf.data() + rpos + 24, 8);
-        const auto* p = rbuf.data() + rpos + kFrameHeader;
-        msg.payload.assign(p, p + len);
-        rpos += kFrameHeader + static_cast<std::size_t>(len);
-        cancel_read_timer();
-        dispatch(std::move(msg));
-        return;
-      }
+      std::optional<Message> msg = take_frame();
+      if (!msg) break;
+      cancel_read_timer();
+      dispatch(std::move(*msg));
     }
+    if (closed || busy) return;
     // Incomplete request: bound how long the tail may dawdle.
     if (rbuf.size() - rpos > 0) {
       arm_read_timer();
@@ -184,6 +197,32 @@ struct Conn : std::enable_shared_from_this<Conn> {
       cancel_read_timer();
     }
     update_interest();
+  }
+
+  // The next complete request off rbuf, or nullopt (a partial frame, or a
+  // bad header, which closes the connection).
+  std::optional<Message> take_frame() {
+    compact();
+    const std::size_t avail = rbuf.size() - rpos;
+    if (avail < kFrameHeader) return std::nullopt;
+    std::uint32_t magic, type;
+    std::uint64_t len;
+    std::memcpy(&magic, rbuf.data() + rpos, 4);
+    std::memcpy(&type, rbuf.data() + rpos + 4, 4);
+    std::memcpy(&len, rbuf.data() + rpos + 8, 8);
+    if (magic != kMessageMagic || len > state->opts.max_payload) {
+      close_conn();  // desynchronised or hostile peer
+      return std::nullopt;
+    }
+    if (avail < kFrameHeader + len) return std::nullopt;
+    Message msg;
+    msg.type = type;
+    std::memcpy(&msg.trace_id, rbuf.data() + rpos + 16, 8);
+    std::memcpy(&msg.span_id, rbuf.data() + rpos + 24, 8);
+    const auto* p = rbuf.data() + rpos + kFrameHeader;
+    msg.payload.assign(p, p + len);
+    rpos += kFrameHeader + static_cast<std::size_t>(len);
+    return msg;
   }
 
   void arm_read_timer() {
@@ -219,7 +258,31 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
+  // Answer on the loop when the loop handler can; otherwise pause reading
+  // and run the handler on the workers.
   void dispatch(Message&& msg) {
+    const std::uint64_t req_trace = msg.trace_id;
+    const std::uint64_t req_span = msg.span_id;
+    // With workers, the loop answers only while replies drain.  Once the
+    // socket backs up, replies made at memory speed would only pile into
+    // the write queue until its cap sheds a peer that is still reading;
+    // the worker hop paces the connection instead, as it always has.
+    const bool backed_up = state->workers != nullptr && !wq.empty();
+    if (state->loop_handler && !backed_up) {
+      std::optional<Message> reply;
+      try {
+        reply = state->loop_handler(msg, id);
+      } catch (...) {
+        note_request(/*on_loop=*/false, /*failed=*/true);
+        close_conn();
+        return;
+      }
+      if (reply) {
+        note_request(/*on_loop=*/true, /*failed=*/false);
+        queue_reply(echo_trace(std::move(*reply), req_trace, req_span));
+        return;
+      }
+    }
     busy = true;
     update_interest();  // pause reading until the reply is queued
     {
@@ -228,45 +291,62 @@ struct Conn : std::enable_shared_from_this<Conn> {
       ++state->in_flight;
     }
     auto self = shared_from_this();
-    auto run = [self, msg = std::move(msg)]() mutable {
-      const std::uint64_t req_trace = msg.trace_id;
-      const std::uint64_t req_span = msg.span_id;
-      Message reply = self->state->handler(std::move(msg), self->id);
-      // Replies travel under the request's trace unless the handler
-      // stamped its own context.
-      if (reply.trace_id == 0) {
-        reply.trace_id = req_trace;
-        reply.span_id = req_span;
+    state->workers->submit([self, msg = std::move(msg), req_trace,
+                            req_span]() mutable {
+      std::optional<Message> reply;
+      try {
+        reply = echo_trace(self->state->handler(std::move(msg), self->id),
+                           req_trace, req_span);
+      } catch (...) {
+        // reply stays empty: the connection closes on its loop below.
       }
       {
         std::lock_guard lk(self->state->mu);
+        if (!reply) ++self->state->handler_failures;
         if (--self->state->in_flight == 0) {
           self->state->drained_cv.notify_all();
         }
       }
-      auto finish = [self, reply = std::move(reply)]() mutable {
-        self->complete(std::move(reply));
-      };
-      if (self->loop->on_loop_thread()) {
-        finish();  // inline handler: already on the loop
-      } else {
-        self->loop->post(std::move(finish));
-      }
-    };
-    if (state->workers) {
-      state->workers->submit(std::move(run));
-    } else {
-      // Inline handlers still go through the task queue: a burst of
-      // pipelined requests unwinds iteratively instead of recursing
-      // dispatch -> complete -> dispatch down the stack.
-      loop->post(std::move(run));
-    }
+      self->loop->post([self, reply = std::move(reply)]() mutable {
+        if (reply) {
+          self->complete(std::move(*reply));
+        } else {
+          self->close_conn();
+        }
+      });
+    });
   }
 
-  // Reply produced: frame it into the bounded write queue and resume.
+  // Replies travel under the request's trace unless the handler stamped
+  // its own context.
+  static Message echo_trace(Message&& reply, std::uint64_t trace,
+                            std::uint64_t span) {
+    if (reply.trace_id == 0) {
+      reply.trace_id = trace;
+      reply.span_id = span;
+    }
+    return std::move(reply);
+  }
+
+  void note_request(bool on_loop, bool failed) {
+    std::lock_guard lk(state->mu);
+    ++state->requests;
+    if (on_loop) ++state->inline_requests;
+    if (failed) ++state->handler_failures;
+  }
+
+  // A worker's reply arrived: queue it and resume the request walk (which
+  // re-arms EPOLLIN once nothing is buffered).
   void complete(Message&& reply) {
     if (closed) return;
     busy = false;
+    queue_reply(std::move(reply));
+    parse_and_dispatch();
+  }
+
+  // Frame a reply into the bounded write queue and push what the socket
+  // takes now.
+  void queue_reply(Message&& reply) {
     std::vector<std::uint8_t> frame(kFrameHeader + reply.payload.size());
     const std::uint32_t magic = kMessageMagic;
     const std::uint64_t len = reply.payload.size();
@@ -302,10 +382,6 @@ struct Conn : std::enable_shared_from_this<Conn> {
       return;
     }
     flush_writes();
-    if (closed) return;
-    // A pipelined request may already be buffered; otherwise this re-arms
-    // EPOLLIN via update_interest().
-    parse_and_dispatch();
   }
 
   void flush_writes() {
@@ -383,6 +459,10 @@ ReactorServer::~ReactorServer() { close(); }
 
 void ReactorServer::set_read_timeout_observer(std::function<void()> observer) {
   state_->timeout_observer = std::move(observer);
+}
+
+void ReactorServer::set_loop_handler(LoopHandler handler) {
+  if (state_->workers != nullptr) state_->loop_handler = std::move(handler);
 }
 
 core::Status ReactorServer::listen(std::uint16_t port) {
@@ -508,6 +588,8 @@ ReactorServerStats ReactorServer::stats() const {
   out.accepted = state_->accepted;
   out.closed = state_->closed;
   out.requests = state_->requests;
+  out.inline_requests = state_->inline_requests;
+  out.handler_failures = state_->handler_failures;
   out.read_timeouts = state_->read_timeouts;
   out.overflow_closes = state_->overflow_closes;
   out.accept_failures = state_->accept_failures;

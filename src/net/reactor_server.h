@@ -10,9 +10,13 @@
 //   * requests on one connection dispatch strictly serially (replies stay
 //     in order, which the pipelined DpssFile fetch paths rely on), while
 //     different connections proceed independently;
-//   * handlers optionally run on a worker ThreadPool so a handler that
-//     blocks (modelled disk sleeps, chain forwarding to a peer) never
-//     stalls an event loop;
+//   * a loop-side handler answers what it can without blocking (a block
+//     read already in the memory tier) on the connection's own loop, with
+//     no thread handoff, while the connection's replies drain; everything
+//     it declines runs on a worker ThreadPool, so a handler that blocks
+//     (modelled disk sleeps, chain forwarding to a peer) never stalls an
+//     event loop;
+//   * a handler that throws closes only its own connection and is counted;
 //   * replies land in a BOUNDED per-connection write queue -- a peer that
 //     stops reading gets its connection closed at the cap (back-pressure)
 //     instead of growing an unbounded thread stack or heap;
@@ -21,12 +25,15 @@
 //
 // The blocking BlockServer::serve(StreamPtr)/Master::serve(StreamPtr) API
 // survives as a shim for in-memory pipe deployments; both paths feed the
-// same handle_request dispatch, so behaviour is identical by construction.
+// same request body (BlockServer::handle_resident_read is that body
+// restricted to what cannot block), so behaviour is identical by
+// construction.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "core/status.h"
 #include "core/thread_pool.h"
@@ -51,6 +58,11 @@ struct ReactorServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
   std::uint64_t requests = 0;
+  // Requests answered on the event loop (the loop-side handler, or every
+  // request of an inline server) rather than on the worker pool.
+  std::uint64_t inline_requests = 0;
+  // Requests whose handler threw; each closed its connection.
+  std::uint64_t handler_failures = 0;
   std::uint64_t read_timeouts = 0;
   std::uint64_t overflow_closes = 0;   // write-queue cap exceeded
   std::uint64_t accept_failures = 0;   // EMFILE etc.
@@ -75,9 +87,15 @@ class ReactorServer {
   // server (feeds e.g. the block server's per-connection stride detector).
   using Handler = std::function<Message(Message&&, std::uint64_t conn_id)>;
 
-  // `workers` null runs handlers inline on the event loop (only for
-  // handlers that never block); non-null offloads them, keeping loops pure
-  // I/O.  The pool and the pool of reactors must outlive this server.
+  // Runs on the connection's event loop and must never block: returns the
+  // reply, or nullopt to decline and leave `msg` untouched for `workers`.
+  using LoopHandler = std::function<std::optional<Message>(
+      Message& msg, std::uint64_t conn_id)>;
+
+  // `workers` null runs `handler` itself on the event loop (only for
+  // handlers that never block).  Non-null offloads every request to the
+  // workers, except those a loop handler (set_loop_handler) answers on the
+  // loop.  The pool and the pool of reactors must outlive this server.
   ReactorServer(ReactorPool& pool, Handler handler,
                 ReactorServerOptions options = {},
                 core::ThreadPool* workers = nullptr);
@@ -90,6 +108,11 @@ class ReactorServer {
   // per-request read timeout; lets owners count it in their own metrics.
   // Set before listen().
   void set_read_timeout_observer(std::function<void()> observer);
+
+  // Answer what `handler` can on the loop before offloading to the
+  // workers.  Ignored without workers: an inline server already runs
+  // everything on its loops.  Set before listen().
+  void set_loop_handler(LoopHandler handler);
 
   // Bind 127.0.0.1:`port` (0 picks an ephemeral port) and start accepting.
   core::Status listen(std::uint16_t port);

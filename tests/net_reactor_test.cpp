@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -485,6 +487,183 @@ TEST(ReactorServer, CloseDrainsInFlightHandlers) {
   release.store(true);
   closer.join();
   EXPECT_TRUE(handler_done.load());
+}
+
+std::uint32_t seq_of(const Message& m) {
+  std::uint32_t seq = 0;
+  std::memcpy(&seq, m.payload.data(), sizeof seq);
+  return seq;
+}
+
+TEST(ReactorServer, LoopHandlerAnswersOrDeclinesInOrder) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  std::atomic<int> pooled{0};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        pooled.fetch_add(1);
+        return m;
+      },
+      ReactorServerOptions{}, &workers);
+  // Even sequence numbers are answered on the loop, odd ones declined.
+  std::atomic<int> declined_intact{0};
+  server.set_loop_handler(
+      [&](Message& m, std::uint64_t) -> std::optional<Message> {
+        if (seq_of(m) % 2 == 0) return m;
+        if (m.payload.size() == 8) declined_intact.fetch_add(1);
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  // A pipelined burst mixing both paths still replies strictly in order.
+  constexpr std::uint32_t kN = 200;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, kN);
+  EXPECT_EQ(stats.inline_requests, kN / 2);
+  EXPECT_EQ(pooled.load(), static_cast<int>(kN / 2));
+  EXPECT_EQ(declined_intact.load(), static_cast<int>(kN / 2));
+  EXPECT_EQ(workers.stats().submitted, kN / 2);
+  server.close();
+}
+
+TEST(ReactorServer, LoopHandlerStepsAsideWhileRepliesBackUp) {
+  ReactorPool pool(1);
+  core::ThreadPool workers(1);
+  ReactorServerOptions opts;
+  opts.write_queue_cap_bytes = 0;  // measure the pacing, not the shedding
+  auto big_reply = [](const Message& m) {
+    Message r = m;
+    r.payload.resize(64 * 1024);
+    return r;
+  };
+  ReactorServer server(
+      pool, [&](Message&& m, std::uint64_t) { return big_reply(m); }, opts,
+      &workers);
+  server.set_loop_handler(
+      [&](Message& m, std::uint64_t) -> std::optional<Message> {
+        return big_reply(m);
+      });
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  // 25 MiB of replies to a peer that reads nothing yet: far beyond what
+  // the loopback socket buffers hold, so the replies back up and the loop
+  // must hand the rest of the burst to the workers.
+  constexpr std::uint32_t kN = 400;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
+  }
+  ASSERT_TRUE(test_support::wait_until(
+      [&] { return workers.stats().submitted > 0; }));
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, kN);
+  EXPECT_GT(stats.inline_requests, 0u);
+  EXPECT_LT(stats.inline_requests, kN);
+  EXPECT_EQ(stats.inline_requests + workers.stats().submitted, kN);
+  server.close();
+}
+
+TEST(ReactorServer, InlineServerAnswersEveryRequestOnTheLoop) {
+  ReactorPool pool(1);
+  ReactorServer server(pool, [&](Message&& m, std::uint64_t) { return m; });
+  ASSERT_TRUE(server.listen(0).is_ok());
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  // The first exchange also waits out the accept's own posted task.
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(recv_message(*client.value()).is_ok());
+  const auto tasks_before = pool.at(0).stats().tasks_run;
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  EXPECT_EQ(server.stats().inline_requests, 11u);
+  // Served where the bytes arrived: no task hop per request.
+  EXPECT_EQ(pool.at(0).stats().tasks_run, tasks_before);
+  server.close();
+}
+
+// Where a throwing handler runs: on the workers, inline on the loop (no
+// workers), or as a loop handler in front of the workers.
+enum class HandlerSite { kPooled, kInline, kLoop };
+
+// A request whose handler throws must close only its own connection, be
+// counted, and leave close() able to drain.
+void expect_throw_closes_only_its_connection(HandlerSite site) {
+  constexpr std::uint32_t kPoison = 666;
+  auto handle = [](Message& m) {
+    if (seq_of(m) == kPoison) throw std::runtime_error("handler failure");
+    return m;
+  };
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) -> Message { return handle(m); },
+      ReactorServerOptions{},
+      site == HandlerSite::kInline ? nullptr : &workers);
+  if (site == HandlerSite::kLoop) {
+    server.set_loop_handler(
+        [&](Message& m, std::uint64_t) -> std::optional<Message> {
+          return handle(m);
+        });
+  }
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto victim = TcpStream::connect("127.0.0.1", server.port());
+  auto bystander = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(victim.is_ok());
+  ASSERT_TRUE(bystander.is_ok());
+  ASSERT_TRUE(send_message(*victim.value(), seq_message(kPoison)).is_ok());
+  EXPECT_FALSE(recv_message(*victim.value()).is_ok());  // closed, no reply
+  EXPECT_TRUE(test_support::wait_until([&] {
+    const auto st = server.stats();
+    return st.handler_failures == 1 && st.closed == 1;
+  }));
+
+  ASSERT_TRUE(send_message(*bystander.value(), seq_message(5)).is_ok());
+  auto reply = recv_message(*bystander.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(seq_of(reply.value()), 5u);
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.handler_failures, 1u);
+  EXPECT_EQ(stats.closed, 1u);
+  EXPECT_EQ(stats.active_conns, 1u);
+  server.close();  // returns: the failed request left no handler counted
+  EXPECT_EQ(server.stats().active_conns, 0u);
+}
+
+TEST(ReactorServer, ThrowingPooledHandlerClosesOnlyItsConnection) {
+  expect_throw_closes_only_its_connection(HandlerSite::kPooled);
+}
+
+TEST(ReactorServer, ThrowingInlineHandlerClosesOnlyItsConnection) {
+  expect_throw_closes_only_its_connection(HandlerSite::kInline);
+}
+
+TEST(ReactorServer, ThrowingLoopHandlerClosesOnlyItsConnection) {
+  expect_throw_closes_only_its_connection(HandlerSite::kLoop);
 }
 
 }  // namespace
