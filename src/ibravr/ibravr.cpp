@@ -102,7 +102,7 @@ core::Result<std::vector<float>> compute_offset_map(
 
   std::vector<float> offsets(static_cast<std::size_t>(nu + 1) *
                              static_cast<std::size_t>(nv + 1));
-  const float span = options.value_hi - options.value_lo;
+  const render::StepClassifier classify(tf, options);
   for (int j = 0; j <= nv; ++j) {
     const float cv = ev * static_cast<float>(j) / nv;
     for (int i = 0; i <= nu; ++i) {
@@ -112,12 +112,8 @@ core::Result<std::vector<float>> compute_offset_map(
       float acc_a = 0.0f, moment = 0.0f, weight = 0.0f;
       for (float t = 0.5f * options.step; t < wlen; t += options.step) {
         const Vec3f p = du * cu + dv * cv + dw * (w0 + t);
-        const float raw = volume.sample(p.x - 0.5f, p.y - 0.5f, p.z - 0.5f);
-        const float norm =
-            span > 0 ? std::clamp((raw - options.value_lo) / span, 0.0f, 1.0f)
-                     : 0.0f;
-        const auto cp = tf.classify(norm);
-        const float alpha = render::opacity_for_step(cp.opacity, options.step);
+        const float alpha =
+            classify(volume.sample(p.x - 0.5f, p.y - 0.5f, p.z - 0.5f)).alpha;
         const float w = (1.0f - acc_a) * alpha;
         moment += w * ((w0 + t) - wc);
         weight += w;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 namespace visapult::render {
 
@@ -23,22 +25,73 @@ Vec3 axis_dir(vol::Axis a) {
 Vec3 add(Vec3 a, Vec3 b) { return {a.x + b.x, a.y + b.y, a.z + b.z}; }
 Vec3 scale(Vec3 a, float s) { return {a.x * s, a.y * s, a.z * s}; }
 
-float normalise_value(float v, const RenderOptions& o) {
-  const float span = o.value_hi - o.value_lo;
-  if (span <= 0.0f) return 0.0f;
-  return std::clamp((v - o.value_lo) / span, 0.0f, 1.0f);
-}
-
 // Front-to-back accumulation of one classified sample.
-void accumulate(core::Pixel& acc, const ControlPoint& cp, float alpha) {
-  const float w = (1.0f - acc.a) * alpha;
-  acc.r += w * cp.r;
-  acc.g += w * cp.g;
-  acc.b += w * cp.b;
+void accumulate(core::Pixel& acc, const StepClassifier::Entry& e) {
+  const float w = (1.0f - acc.a) * e.alpha;
+  acc.r += w * e.r;
+  acc.g += w * e.g;
+  acc.b += w * e.b;
   acc.a += w;
 }
 
 constexpr float kOpaqueCutoff = 0.995f;
+
+// One axis of a trilinear footprint: the two neighbour cells, clamped to
+// the grid and pre-multiplied by the axis stride into element offsets, and
+// the fraction between them.  Volume::sample derives the same three values
+// from floor() and at_clamped() on every call.
+struct Tap {
+  std::size_t lo = 0, hi = 0;
+  float f = 0.0f;
+};
+
+Tap make_tap(float coord, int n, std::size_t stride) {
+  const int c0 = static_cast<int>(std::floor(coord));
+  Tap t;
+  t.f = coord - c0;
+  t.lo = static_cast<std::size_t>(std::clamp(c0, 0, n - 1)) * stride;
+  t.hi = static_cast<std::size_t>(std::clamp(c0 + 1, 0, n - 1)) * stride;
+  return t;
+}
+
+float lerp(float a, float b, float t) { return a + (b - a) * t; }
+
+// Volume::sample from precomputed taps: the same eight cells and the same
+// seven lerps in the same order (x, then y, then z).
+float trilinear(const float* d, const Tap& x, const Tap& y, const Tap& z) {
+  const float c00 = lerp(d[x.lo + y.lo + z.lo], d[x.hi + y.lo + z.lo], x.f);
+  const float c10 = lerp(d[x.lo + y.hi + z.lo], d[x.hi + y.hi + z.lo], x.f);
+  const float c01 = lerp(d[x.lo + y.lo + z.hi], d[x.hi + y.lo + z.hi], x.f);
+  const float c11 = lerp(d[x.lo + y.hi + z.hi], d[x.hi + y.hi + z.hi], x.f);
+  return lerp(lerp(c00, c10, y.f), lerp(c01, c11, y.f), z.f);
+}
+
+// Marches one image row.  `ut` holds a tap per column, `v` is the row's
+// tap and `wt` a tap per sample along the view axis; image_axes_for's
+// cyclic convention decides which of them is x, y and z.
+template <vol::Axis kView>
+void march_row(const float* d, const StepClassifier& classify,
+               const std::vector<Tap>& ut, const Tap& v,
+               const std::vector<Tap>& wt, core::Pixel* row) {
+  for (std::size_t i = 0; i < ut.size(); ++i) {
+    const Tap& u = ut[i];
+    core::Pixel acc;
+    for (const Tap& w : wt) {
+      float raw;
+      if constexpr (kView == vol::Axis::kX) {
+        raw = trilinear(d, w, u, v);  // u = Y, v = Z
+      } else if constexpr (kView == vol::Axis::kY) {
+        raw = trilinear(d, v, w, u);  // u = Z, v = X
+      } else {
+        raw = trilinear(d, u, v, w);  // u = X, v = Y
+      }
+      const StepClassifier::Entry& e = classify(raw);
+      if (e.alpha > 0.0f) accumulate(acc, e);
+      if (acc.a >= kOpaqueCutoff) break;
+    }
+    row[i] = acc;
+  }
+}
 
 }  // namespace
 
@@ -67,7 +120,14 @@ core::Status render_brick_rows(const vol::Volume& volume,
 
   vol::Axis ua, va;
   image_axes_for(view_axis, ua, va);
-  const int width = img.width();
+  auto stride = [&](vol::Axis a) -> std::size_t {
+    switch (a) {
+      case vol::Axis::kX: return 1;
+      case vol::Axis::kY: return static_cast<std::size_t>(vd.nx);
+      case vol::Axis::kZ: return static_cast<std::size_t>(vd.nx) * vd.ny;
+    }
+    return 0;
+  };
 
   // Slab extent along the view axis.
   int a0 = 0, alen = 0;
@@ -77,26 +137,40 @@ core::Status render_brick_rows(const vol::Volume& volume,
     case vol::Axis::kZ: a0 = slab.z0; alen = slab.dims.nz; break;
   }
 
-  const Vec3 du = axis_dir(ua);
-  const Vec3 dv = axis_dir(va);
-  const Vec3 dw = axis_dir(view_axis);
+  // Every ray takes the same sample positions along the view axis, built
+  // by the same float accumulation of `step`.
+  std::vector<Tap> wt;
+  for (float t = 0.5f * options.step; t < static_cast<float>(alen);
+       t += options.step) {
+    wt.push_back(make_tap((static_cast<float>(a0) + t) - 0.5f,
+                          vd.extent(view_axis), stride(view_axis)));
+  }
+  // Pixel centres in cell units: column i is at (i + 0.5) / scale.
+  auto image_tap = [&](int pixel, vol::Axis a) {
+    const float c =
+        (static_cast<float>(pixel) + 0.5f) / options.resolution_scale;
+    return make_tap(c - 0.5f, vd.extent(a), stride(a));
+  };
+  std::vector<Tap> ut(static_cast<std::size_t>(img.width()));
+  for (int i = 0; i < img.width(); ++i) {
+    ut[static_cast<std::size_t>(i)] = image_tap(i, ua);
+  }
 
+  const StepClassifier classify(tf, options);
+  const float* d = volume.data().data();
   for (int j = row_begin; j < row_end; ++j) {
-    const float cv = (static_cast<float>(j) + 0.5f) / options.resolution_scale;
-    for (int i = 0; i < width; ++i) {
-      const float cu = (static_cast<float>(i) + 0.5f) / options.resolution_scale;
-      core::Pixel acc;
-      for (float t = 0.5f * options.step; t < static_cast<float>(alen);
-           t += options.step) {
-        const Vec3 p = add(add(scale(du, cu), scale(dv, cv)),
-                           scale(dw, static_cast<float>(a0) + t));
-        const float raw = volume.sample(p.x - 0.5f, p.y - 0.5f, p.z - 0.5f);
-        const ControlPoint cp = tf.classify(normalise_value(raw, options));
-        const float alpha = opacity_for_step(cp.opacity, options.step);
-        if (alpha > 0.0f) accumulate(acc, cp, alpha);
-        if (acc.a >= kOpaqueCutoff) break;
-      }
-      img.at(i, j) = acc;
+    const Tap v = image_tap(j, va);
+    core::Pixel* row = &img.at(0, j);
+    switch (view_axis) {
+      case vol::Axis::kX:
+        march_row<vol::Axis::kX>(d, classify, ut, v, wt, row);
+        break;
+      case vol::Axis::kY:
+        march_row<vol::Axis::kY>(d, classify, ut, v, wt, row);
+        break;
+      case vol::Axis::kZ:
+        march_row<vol::Axis::kZ>(d, classify, ut, v, wt, row);
+        break;
     }
   }
   return core::Status::ok();
@@ -168,6 +242,7 @@ core::Result<core::ImageRGBA> render_volume_rotated(
            p.z <= static_cast<float>(vd.nz);
   };
 
+  const StepClassifier classify(tf, options);
   for (int j = 0; j < height; ++j) {
     const float cv = (static_cast<float>(j) + 0.5f) / options.resolution_scale - ev * 0.5f;
     for (int i = 0; i < width; ++i) {
@@ -177,10 +252,9 @@ core::Result<core::ImageRGBA> render_volume_rotated(
       for (float t = -diag * 0.5f; t <= diag * 0.5f; t += options.step) {
         const Vec3 p = add(p0, scale(w, t));
         if (!inside(p)) continue;
-        const float raw = volume.sample(p.x - 0.5f, p.y - 0.5f, p.z - 0.5f);
-        const ControlPoint cp = tf.classify(normalise_value(raw, options));
-        const float alpha = opacity_for_step(cp.opacity, options.step);
-        if (alpha > 0.0f) accumulate(acc, cp, alpha);
+        const StepClassifier::Entry& e =
+            classify(volume.sample(p.x - 0.5f, p.y - 0.5f, p.z - 0.5f));
+        if (e.alpha > 0.0f) accumulate(acc, e);
         if (acc.a >= kOpaqueCutoff) break;
       }
       img.at(i, j) = acc;

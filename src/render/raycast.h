@@ -14,7 +14,19 @@
 //    ground truth to *measure* the IBRAVR off-axis artifacts of Fig. 6.
 //
 // Both composite front-to-back with opacity corrected for step size, and
-// produce premultiplied-alpha images (see core/image.h).
+// produce premultiplied-alpha images (see core/image.h).  Both classify
+// through a StepClassifier (render/transfer.h): one table per call with
+// the data window and the step correction folded in.
+//
+// The axis-aligned march is hoisted.  Its rays share one direction and one
+// step, so the trilinear taps along the view axis (clamped neighbour
+// offsets and fraction, per sample index) are computed once per call, the
+// taps across it once per image column and once per row, and each sample
+// is left with eight loads, seven lerps, one table lookup and the
+// front-to-back blend.  The taps reproduce Volume::sample's floor/clamp
+// arithmetic and the lerps keep its order, so every image is bit-identical
+// to a march that calls Volume::sample and TransferFunction::classify per
+// sample (tests/render_golden_test.cpp pins this).
 #pragma once
 
 #include <cmath>

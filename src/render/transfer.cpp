@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "render/raycast.h"
+
 namespace visapult::render {
 
 TransferFunction::TransferFunction(std::vector<ControlPoint> points) {
@@ -39,10 +41,14 @@ TransferFunction::TransferFunction(std::vector<ControlPoint> points) {
   }
 }
 
-ControlPoint TransferFunction::classify(float value) const {
-  const float v = std::clamp(value, 0.0f, 1.0f);
-  const int i = static_cast<int>(v * (kTableSize - 1) + 0.5f);
-  return table_[static_cast<std::size_t>(i)];
+StepClassifier::StepClassifier(const TransferFunction& tf,
+                               const RenderOptions& options)
+    : lo_(options.value_lo), span_(options.value_hi - options.value_lo) {
+  for (int i = 0; i < TransferFunction::kTableSize; ++i) {
+    const ControlPoint& cp = tf.entry(i);
+    table_[static_cast<std::size_t>(i)] = {
+        cp.r, cp.g, cp.b, opacity_for_step(cp.opacity, options.step)};
+  }
 }
 
 TransferFunction TransferFunction::fire() {

@@ -6,7 +6,9 @@
 // images converge as the sampling rate changes.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -22,13 +24,29 @@ struct ControlPoint {
 
 class TransferFunction {
  public:
+  static constexpr int kTableSize = 1024;
+
   // Control points are sorted by value internally; lookups interpolate
   // piecewise-linearly and a 1024-entry table caches the result.
   explicit TransferFunction(std::vector<ControlPoint> points);
 
+  // Table index of a normalised value: clamped to [0,1], then the nearest
+  // entry.  A NaN (a corrupt float off the wire, or a NaN data window)
+  // classifies as entry 0, the transparent end of every preset.
+  static int index_of(float value) {
+    if (std::isnan(value)) return 0;
+    const float v = std::clamp(value, 0.0f, 1.0f);
+    return static_cast<int>(v * (kTableSize - 1) + 0.5f);
+  }
+
   // Classify a normalised value: straight (non-premultiplied) colour plus
   // extinction coefficient.
-  ControlPoint classify(float value) const;
+  ControlPoint classify(float value) const { return entry(index_of(value)); }
+
+  // Table entry i, for i in [0, kTableSize).
+  const ControlPoint& entry(int i) const {
+    return table_[static_cast<std::size_t>(i)];
+  }
 
   // Presets used by the examples and benches.
   static TransferFunction fire();     // combustion: black->red->orange->white
@@ -36,8 +54,39 @@ class TransferFunction {
   static TransferFunction linear_grey();
 
  private:
-  static constexpr int kTableSize = 1024;
   std::array<ControlPoint, kTableSize> table_;
+};
+
+struct RenderOptions;
+
+// A TransferFunction resolved for one ray march: the data window
+// (value_lo, value_hi) folded into the lookup, and every entry's extinction
+// step-corrected to per-sample opacity once, so classifying a raw sample
+// costs one division and one table load.  operator() gives bit for bit
+// what tf.classify(normalised raw) followed by opacity_for_step(opacity,
+// step) gives.  Immutable once built; each march builds its own (16 KiB)
+// rather than caching one in the TransferFunction, which PEs share across
+// threads.
+class StepClassifier {
+ public:
+  struct Entry {
+    float r = 0, g = 0, b = 0;  // straight colour
+    float alpha = 0;            // per-sample opacity for the march's step
+  };
+
+  StepClassifier(const TransferFunction& tf, const RenderOptions& options);
+
+  const Entry& operator()(float raw) const {
+    // An empty or inverted window normalises everything to 0.
+    const int i =
+        span_ <= 0.0f ? 0 : TransferFunction::index_of((raw - lo_) / span_);
+    return table_[static_cast<std::size_t>(i)];
+  }
+
+ private:
+  float lo_ = 0.0f;
+  float span_ = 0.0f;
+  std::array<Entry, TransferFunction::kTableSize> table_;
 };
 
 }  // namespace visapult::render

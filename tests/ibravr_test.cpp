@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "vol/generate.h"
@@ -111,6 +112,34 @@ TEST(OffsetMap, TracksMaterialDepth) {
                                     {}, 2, 2);
   ASSERT_TRUE(offsets.is_ok());
   for (float o : offsets.value()) EXPECT_GT(o, 2.0f);
+}
+
+// Hostile input: a NaN cell must leave the offset map finite, and every
+// mesh vertex whose ray misses the NaN's trilinear footprint unchanged.
+TEST(OffsetMap, NanCellStaysFiniteAndLocal) {
+  const vol::Dims dims{8, 8, 8};
+  const vol::Volume clean = vol::generate_combustion(dims, 0);
+  vol::Volume v = clean;
+  v.at(3, 4, 5) = std::nanf("");
+  const SlabInfo info = make_info(dims, 1, 0);
+  const auto tf = render::TransferFunction::fire();
+  auto ref = compute_offset_map(clean, info, tf, {}, 8, 8);
+  auto got = compute_offset_map(v, info, tf, {}, 8, 8);
+  ASSERT_TRUE(ref.is_ok() && got.is_ok());
+  // Vertex i sits at cell coordinate i - 0.5: its taps are cells i-1, i.
+  auto reaches = [](int vertex, int cell) {
+    return std::clamp(vertex - 1, 0, 7) == cell ||
+           std::clamp(vertex, 0, 7) == cell;
+  };
+  for (int j = 0; j <= 8; ++j) {
+    for (int i = 0; i <= 8; ++i) {
+      const std::size_t k = static_cast<std::size_t>(j * 9 + i);
+      ASSERT_TRUE(std::isfinite(got.value()[k]));
+      if (!reaches(i, 3) || !reaches(j, 4)) {
+        EXPECT_EQ(got.value()[k], ref.value()[k]) << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(MakeSlabMesh, ValidatesOffsetSize) {

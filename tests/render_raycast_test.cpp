@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "vol/generate.h"
 
 namespace visapult::render {
@@ -176,6 +180,58 @@ TEST(Raycast, RowRangeRenderingFillsOnlyRequestedRows) {
   }
   EXPECT_FLOAT_EQ(alpha_outside, 0.0f);
   EXPECT_GT(alpha_inside, 0.0f);
+}
+
+// Hostile input: the back end renders float bytes straight off the wire,
+// so one flipped exponent bit can put a NaN or an infinity in a slab.  It
+// must not crash the PE, must leave the image finite, and must leave every
+// ray that never reaches the bad cell's trilinear footprint exactly as it
+// was.
+TEST(Raycast, NonFiniteCellRendersFiniteAndLocal) {
+  const vol::Dims dims{8, 8, 8};
+  const vol::Dims bad{3, 4, 5};  // the bad cell; extent(a) reads its coordinate
+  const TransferFunction tf = TransferFunction::fire();
+  for (const vol::Volume& clean :
+       {vol::Volume(dims, 0.5f), vol::generate_combustion(dims, 0)}) {
+    for (float hostile : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+      vol::Volume v = clean;
+      v.at(bad.nx, bad.ny, bad.nz) = hostile;
+      for (vol::Axis axis : {vol::Axis::kX, vol::Axis::kY, vol::Axis::kZ}) {
+        auto ref = render_brick_along_axis(clean, full_brick(v), axis, tf);
+        auto img = render_brick_along_axis(v, full_brick(v), axis, tf);
+        ASSERT_TRUE(ref.is_ok() && img.is_ok());
+        vol::Axis ua, va;
+        image_axes_for(axis, ua, va);
+        // At one pixel per cell, pixel i's taps are cells i and i + 1.
+        auto reaches = [&](int pixel, vol::Axis a) {
+          const int n = dims.extent(a), cell = bad.extent(a);
+          return std::clamp(pixel, 0, n - 1) == cell ||
+                 std::clamp(pixel + 1, 0, n - 1) == cell;
+        };
+        for (int j = 0; j < img.value().height(); ++j) {
+          for (int i = 0; i < img.value().width(); ++i) {
+            const core::Pixel& p = img.value().at(i, j);
+            ASSERT_TRUE(std::isfinite(p.r) && std::isfinite(p.g) &&
+                        std::isfinite(p.b) && std::isfinite(p.a));
+            if (!reaches(i, ua) || !reaches(j, va)) {
+              EXPECT_EQ(p, ref.value().at(i, j)) << i << "," << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Raycast, NanWindowRendersTransparent) {
+  const vol::Volume v = vol::generate_combustion({8, 8, 8}, 0);
+  RenderOptions o;
+  o.value_lo = std::numeric_limits<float>::quiet_NaN();
+  auto img = render_brick_along_axis(v, full_brick(v), vol::Axis::kZ,
+                                     TransferFunction::fire(), o);
+  ASSERT_TRUE(img.is_ok());
+  for (const auto& p : img.value().pixels()) EXPECT_EQ(p.a, 0.0f);
 }
 
 }  // namespace

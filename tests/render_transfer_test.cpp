@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "render/raycast.h"
 
 namespace visapult::render {
@@ -56,6 +59,36 @@ TEST(TransferFunction, FireIsWarm) {
   const auto tf = TransferFunction::fire();
   const auto hot = tf.classify(0.7f);
   EXPECT_GT(hot.r, hot.b);  // flames are red/orange, not blue
+}
+
+TEST(TransferFunction, NanClassifiesAsFirstEntry) {
+  const auto tf = TransferFunction::fire();
+  EXPECT_EQ(TransferFunction::index_of(std::nanf("")), 0);
+  EXPECT_EQ(tf.classify(std::nanf("")).opacity, tf.entry(0).opacity);
+  EXPECT_EQ(TransferFunction::index_of(-1.0f), 0);
+  EXPECT_EQ(TransferFunction::index_of(2.0f), TransferFunction::kTableSize - 1);
+}
+
+TEST(StepClassifier, MatchesClassifyThenStepCorrection) {
+  const auto tf = TransferFunction::density();
+  RenderOptions o;
+  o.step = 0.37f;
+  o.value_lo = 0.2f;
+  o.value_hi = 0.8f;
+  const StepClassifier classify(tf, o);
+  for (float raw = -0.5f; raw < 1.5f; raw += 0.001f) {
+    const ControlPoint cp =
+        tf.classify(std::clamp((raw - o.value_lo) / (o.value_hi - o.value_lo),
+                               0.0f, 1.0f));
+    const StepClassifier::Entry& e = classify(raw);
+    ASSERT_EQ(e.r, cp.r);
+    ASSERT_EQ(e.g, cp.g);
+    ASSERT_EQ(e.b, cp.b);
+    ASSERT_EQ(e.alpha, opacity_for_step(cp.opacity, o.step));
+  }
+  // An empty window classifies everything as the first entry.
+  o.value_hi = o.value_lo;
+  EXPECT_EQ(StepClassifier(tf, o)(0.9f).alpha, 0.0f);
 }
 
 TEST(OpacityForStep, BeerLambertProperties) {
