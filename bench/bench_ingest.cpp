@@ -1,14 +1,14 @@
-// Ingest-pipeline bench: overwrite throughput via the classic client
-// fanout vs server-driven chain replication at rf 1/2/3, and replicated
-// vs EC(4,2) parity-delta overwrites.
+// Ingest-pipeline bench: overwrite throughput of server-driven chain
+// replication at rf 1/2/3, and replicated vs EC(4,2) parity-delta
+// overwrites.
 //
 // Six pipe-transport servers host a synthetic combustion series.  For
 // each replication factor we ingest, open a file, and overwrite the whole
-// dataset twice: once with the client fanning every replica out itself,
-// once with one copy per block sent to its primary and the chain moving
-// the rest server-to-server.  The EC section overwrites a (4,2) dataset
-// through parity-delta writes (client ships each block once; m GF deltas
-// move server-to-server) and reports the parity-delta kernel ops.
+// dataset twice, timing the second: one copy per block goes to its
+// primary and the chain moves the rest server-to-server.  The EC section
+// overwrites a (4,2) dataset through parity-delta writes (client ships
+// each block once; m GF deltas move server-to-server) and reports the
+// parity-delta kernel ops.
 //
 // A final section sweeps concurrent writer connections against a real TCP
 // deployment, reactor front door vs the thread-per-connection baseline:
@@ -17,9 +17,8 @@
 //
 // The last stdout line is a single machine-readable JSON object (the
 // BENCH_* perf-trajectory hook):
-//   {"bench":"ingest","rf1_fanout_mbps":...,"rf1_chain_mbps":...,
-//    "rf2_fanout_mbps":...,"rf2_chain_mbps":...,
-//    "rf3_fanout_mbps":...,"rf3_chain_mbps":...,
+//   {"bench":"ingest","rf1_chain_mbps":...,"rf2_chain_mbps":...,
+//    "rf3_chain_mbps":...,
 //    "ec42_chain_mbps":...,"ec42_parity_deltas":...,
 //    "rf2_chain_forwards":...,
 //    "sweep_reactor_w<N>_mbps":...,"sweep_reactor_w<N>_p50_ms":...,
@@ -58,7 +57,6 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint8_t salt) {
 }
 
 struct OverwriteResult {
-  double fanout_mbps = 0.0;
   double chain_mbps = 0.0;
   std::uint64_t chain_forwards = 0;
 };
@@ -85,16 +83,20 @@ OverwriteResult run_rf(const vol::DatasetDesc& dataset, std::uint32_t rf) {
   auto file = client.open(dataset.name);
   if (!file.is_ok()) return out;
 
-  const auto fanout_bytes = pattern_bytes(dataset.total_bytes(), 1);
-  file.value()->set_write_mode(dpss::DpssFile::WriteMode::kClientFanout);
-  out.fanout_mbps = timed_overwrite(*file.value(), fanout_bytes);
-
-  const auto chain_bytes = pattern_bytes(dataset.total_bytes(), 2);
-  file.value()->set_write_mode(dpss::DpssFile::WriteMode::kServerChain);
-  out.chain_mbps = timed_overwrite(*file.value(), chain_bytes);
-  for (int s = 0; s < deployment.server_count(); ++s) {
-    out.chain_forwards += deployment.server(s).chain_forwards();
-  }
+  // Time the second of two overwrites: the first pays the deployment's
+  // first-touch costs.  Forwards are counted for the timed one only.
+  auto forwards = [&deployment] {
+    std::uint64_t n = 0;
+    for (int s = 0; s < deployment.server_count(); ++s) {
+      n += deployment.server(s).chain_forwards();
+    }
+    return n;
+  };
+  timed_overwrite(*file.value(), pattern_bytes(dataset.total_bytes(), 1));
+  const std::uint64_t warmup_forwards = forwards();
+  out.chain_mbps = timed_overwrite(*file.value(),
+                                   pattern_bytes(dataset.total_bytes(), 2));
+  out.chain_forwards = forwards() - warmup_forwards;
   return out;
 }
 
@@ -154,7 +156,6 @@ WriterPoint run_writer_point(dpss::ServeMode mode,
             errors.fetch_add(1);
             continue;
           }
-          file.value()->set_write_mode(dpss::DpssFile::WriteMode::kServerChain);
           writers[static_cast<std::size_t>(i)] = std::unique_ptr<Writer>(
               new Writer{std::move(client).take(), std::move(file).take()});
         }
@@ -221,13 +222,11 @@ int main() {
               core::format_bytes(static_cast<double>(dataset.total_bytes()))
                   .c_str());
 
-  core::TableWriter table({"mode", "fanout MB/s", "chain MB/s",
-                           "chain forwards"});
+  core::TableWriter table({"mode", "chain MB/s", "chain forwards"});
   OverwriteResult results[4];
   for (std::uint32_t rf = 1; rf <= 3; ++rf) {
     results[rf] = run_rf(dataset, rf);
     table.add_row({"rf=" + std::to_string(rf),
-                   core::fmt_double(results[rf].fanout_mbps, 1),
                    core::fmt_double(results[rf].chain_mbps, 1),
                    std::to_string(results[rf].chain_forwards)});
   }
@@ -251,7 +250,7 @@ int main() {
         }
       }
     }
-    table.add_row({"EC(4,2)", "n/a", core::fmt_double(ec_mbps, 1),
+    table.add_row({"EC(4,2)", core::fmt_double(ec_mbps, 1),
                    std::to_string(ec_deltas) + " deltas"});
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -284,11 +283,8 @@ int main() {
   std::printf("%s\n", sweep_table.to_string().c_str());
 
   bench::Summary summary("ingest");
-  summary.metric("rf1_fanout_mbps", results[1].fanout_mbps)
-      .metric("rf1_chain_mbps", results[1].chain_mbps)
-      .metric("rf2_fanout_mbps", results[2].fanout_mbps)
+  summary.metric("rf1_chain_mbps", results[1].chain_mbps)
       .metric("rf2_chain_mbps", results[2].chain_mbps)
-      .metric("rf3_fanout_mbps", results[3].fanout_mbps)
       .metric("rf3_chain_mbps", results[3].chain_mbps)
       .metric("ec42_chain_mbps", ec_mbps)
       .metric("ec42_parity_deltas", static_cast<double>(ec_deltas))

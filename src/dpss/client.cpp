@@ -14,6 +14,39 @@
 
 namespace visapult::dpss {
 
+namespace {
+
+// One request/reply on a stream the caller has to itself.
+core::Result<net::Message> roundtrip(net::ByteStream& stream,
+                                     const net::Message& msg) {
+  if (auto st = net::send_message(stream, msg); !st.is_ok()) return st;
+  return net::recv_message(stream);
+}
+
+// Decode a round trip's reply, passing a transport error through.
+template <class Decode>
+auto decoded(const core::Result<net::Message>& msg, Decode decode)
+    -> decltype(decode(msg.value())) {
+  if (!msg.is_ok()) return msg.status();
+  return decode(msg.value());
+}
+
+}  // namespace
+
+core::Result<net::Message> DpssClient::MasterLink::call(
+    const net::Message& msg) {
+  std::lock_guard lk(mu);
+  if (!stream) return core::unavailable("master connection closed");
+  return roundtrip(*stream, msg);
+}
+
+core::Result<net::Message> DpssClient::ask_server(const ServerAddress& addr,
+                                                  const net::Message& msg) {
+  auto stream = connector_(addr);
+  if (!stream.is_ok()) return stream.status();
+  return roundtrip(*stream.value(), msg);
+}
+
 DpssClient::DpssClient(net::StreamPtr master, Connector connector)
     : master_(std::make_shared<MasterLink>()),
       connector_(std::move(connector)),
@@ -48,29 +81,16 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
   net::Message open_msg = encode_open_request(req);
   open_msg.trace_id = trace.trace_id;
   open_msg.span_id = trace.sampled() ? obs::new_span_id() : 0;
-  OpenReply open_reply;
   // The link the open went through also carries this file's failure and
   // fixup reports (sharded: the member that answered).
   std::shared_ptr<MasterLink> served = master_;
-  if (meta_->sharded) {
-    auto reply_msg = shard_roundtrip(meta_->shard_map.shard_for(dataset),
-                                     open_msg, dataset, &served);
-    if (!reply_msg.is_ok()) return reply_msg.status();
-    auto reply = decode_open_reply(reply_msg.value());
-    if (!reply.is_ok()) return reply.status();
-    open_reply = std::move(reply).take();
-  } else {
-    std::lock_guard lk(master_->mu);
-    if (auto st = net::send_message(*master_->stream, open_msg);
-        !st.is_ok()) {
-      return st;
-    }
-    auto msg = net::recv_message(*master_->stream);
-    if (!msg.is_ok()) return msg.status();
-    auto reply = decode_open_reply(msg.value());
-    if (!reply.is_ok()) return reply.status();
-    open_reply = std::move(reply).take();
-  }
+  auto reply = decoded(
+      meta_->sharded ? shard_roundtrip(meta_->shard_map.shard_for(dataset),
+                                       open_msg, dataset, &served)
+                     : master_->call(open_msg),
+      decode_open_reply);
+  if (!reply.is_ok()) return reply.status();
+  OpenReply open_reply = std::move(reply).take();
   if (trace.sampled()) {
     open_logger_->log(netlog::tags::kDpssOpenEnd, -1, -1,
                       {{"TRACE", obs::trace_hex(trace.trace_id)},
@@ -119,24 +139,13 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
   }
 
   // Failure and fixup reports ride the master connection; the shared link
-  // keeps it alive for files that outlive this client.
+  // keeps it alive for files that outlive this client.  Their acks are
+  // best-effort.
   FailureReporter reporter = [link = served](const FailureReport& report) {
-    std::lock_guard lk(link->mu);
-    if (!link->stream) return;
-    if (!net::send_message(*link->stream, encode_failure_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*link->stream);  // best-effort ack
+    (void)link->call(encode_failure_report(report));
   };
   FixupReporter fixup_reporter = [link = served](const FixupReport& report) {
-    std::lock_guard lk(link->mu);
-    if (!link->stream) return;
-    if (!net::send_message(*link->stream, encode_fixup_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*link->stream);  // best-effort ack
+    (void)link->call(encode_fixup_report(report));
   };
 
   // A dead server is survivable whenever the dataset has redundancy --
@@ -167,8 +176,7 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
       dataset, open_reply.layout, std::move(streams),
       std::move(open_reply.servers), std::move(map),
       std::move(open_reply.server_health), std::move(open_reply.server_load),
-      std::move(reporter), std::move(fixup_reporter),
-      open_reply.ingest_capable);
+      std::move(reporter), std::move(fixup_reporter));
   file->set_generation_floor(open_reply.max_generation);
   file->set_cache_hint(open_reply.cache_hint);
   return file;
@@ -261,14 +269,7 @@ core::Result<net::Message> DpssClient::shard_roundtrip(
       ++meta_->master_failovers;
       continue;
     }
-    core::Result<net::Message> got = [&]() -> core::Result<net::Message> {
-      std::lock_guard lk(link->mu);
-      if (!link->stream) return core::unavailable("master link closed");
-      if (auto st = net::send_message(*link->stream, msg); !st.is_ok()) {
-        return st;
-      }
-      return net::recv_message(*link->stream);
-    }();
+    core::Result<net::Message> got = link->call(msg);
     if (!got.is_ok()) {
       // Transport death mid-request: drop the stream so the next attempt
       // re-dials, and move on to the next member.
@@ -298,15 +299,7 @@ void DpssClient::report_master_failure(const std::shared_ptr<MasterLink>& via,
                                        const ServerAddress& dead,
                                        const std::string& dataset) {
   FailureReport report{dead, dataset, 0, "master unreachable from client"};
-  {
-    std::lock_guard lk(via->mu);
-    if (!via->stream) return;
-    if (!net::send_message(*via->stream, encode_failure_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*via->stream);  // best-effort ack
-  }
+  if (!via->call(encode_failure_report(report)).is_ok()) return;
   std::lock_guard lk(meta_->mu);
   ++meta_->master_failure_reports;
 }
@@ -318,22 +311,10 @@ core::Result<std::uint64_t> DpssClient::pull_deltas(std::uint32_t shard,
   req.dataset = dataset;
   req.since_epoch = since;
   const net::Message msg = encode_placement_delta_request(req);
-  net::Message reply_msg;
-  if (meta_->sharded) {
-    auto got = shard_roundtrip(shard, msg, dataset, nullptr);
-    if (!got.is_ok()) return got.status();
-    reply_msg = std::move(got).take();
-  } else {
-    std::lock_guard lk(master_->mu);
-    if (!master_->stream) return core::unavailable("master connection closed");
-    if (auto st = net::send_message(*master_->stream, msg); !st.is_ok()) {
-      return st;
-    }
-    auto got = net::recv_message(*master_->stream);
-    if (!got.is_ok()) return got.status();
-    reply_msg = std::move(got).take();
-  }
-  auto reply = decode_placement_delta_reply(reply_msg);
+  auto reply = decoded(meta_->sharded
+                           ? shard_roundtrip(shard, msg, dataset, nullptr)
+                           : master_->call(msg),
+                       decode_placement_delta_reply);
   if (!reply.is_ok()) return reply.status();
   // Entries are self-contained full-state records, so replaying a delta
   // run and installing a snapshot go through the same apply loop and
@@ -402,43 +383,18 @@ core::Result<std::uint64_t> DpssClient::sync_shard(std::uint32_t shard) {
 }
 
 core::Result<std::string> DpssClient::master_stats() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream, encode_stats_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
-  if (!msg.is_ok()) return msg.status();
-  return decode_stats_reply(msg.value());
+  return decoded(master_->call(encode_stats_request()), decode_stats_reply);
 }
 
 core::Result<std::string> DpssClient::master_profile() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream, encode_profile_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
-  if (!msg.is_ok()) return msg.status();
-  return decode_profile_reply(msg.value());
+  return decoded(master_->call(encode_profile_request()),
+                 decode_profile_reply);
 }
 
 core::Result<std::string> DpssClient::server_profile(
     const ServerAddress& addr) {
-  // Throwaway connection, like server_stats(): profile pulls must not
-  // interleave with pipelined DpssFile streams.
-  auto stream = connector_(addr);
-  if (!stream.is_ok()) return stream.status();
-  auto conn = std::move(stream).take();
-  if (auto st = net::send_message(*conn, encode_profile_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*conn);
-  if (!msg.is_ok()) return msg.status();
-  return decode_profile_reply(msg.value());
+  return decoded(ask_server(addr, encode_profile_request()),
+                 decode_profile_reply);
 }
 
 void DpssClient::enable_open_tracing(
@@ -453,43 +409,17 @@ core::Result<std::uint64_t> DpssClient::export_spans(
   batch.host = host;
   batch.sent_at = sent_at;
   batch.spans = spans;
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream,
-                                  encode_span_export_request(batch));
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
-  if (!msg.is_ok()) return msg.status();
-  return decode_span_export_reply(msg.value());
+  return decoded(master_->call(encode_span_export_request(batch)),
+                 decode_span_export_reply);
 }
 
 core::Result<std::string> DpssClient::trace_report() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream,
-                                  encode_trace_report_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
-  if (!msg.is_ok()) return msg.status();
-  return decode_trace_report_reply(msg.value());
+  return decoded(master_->call(encode_trace_report_request()),
+                 decode_trace_report_reply);
 }
 
 core::Result<std::string> DpssClient::server_stats(const ServerAddress& addr) {
-  // A throwaway connection: stats pulls must not interleave with any
-  // DpssFile's pipelined request/reply streams.
-  auto stream = connector_(addr);
-  if (!stream.is_ok()) return stream.status();
-  auto conn = std::move(stream).take();
-  if (auto st = net::send_message(*conn, encode_stats_request()); !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*conn);
-  if (!msg.is_ok()) return msg.status();
-  return decode_stats_reply(msg.value());
+  return decoded(ask_server(addr, encode_stats_request()), decode_stats_reply);
 }
 
 DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
@@ -498,8 +428,7 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
                    std::shared_ptr<const placement::PlacementMap> placement,
                    std::vector<placement::HealthState> server_health,
                    std::vector<std::uint64_t> server_load,
-                   FailureReporter reporter, FixupReporter fixup_reporter,
-                   bool ingest_capable)
+                   FailureReporter reporter, FixupReporter fixup_reporter)
     : dataset_(std::move(dataset)),
       layout_(layout),
       servers_(std::move(server_streams)),
@@ -509,7 +438,6 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
       server_load_(std::move(server_load)),
       reporter_(std::move(reporter)),
       fixup_reporter_(std::move(fixup_reporter)),
-      ingest_capable_(ingest_capable),
       per_server_blocks_(servers_.size(), 0),
       wire_bytes_(registry_.counter("dpss_client_wire_bytes_total")),
       raw_bytes_(registry_.counter("dpss_client_raw_bytes_total")),
@@ -648,6 +576,69 @@ void DpssFile::mark_server_failed(std::size_t s, std::uint64_t block,
   }
 }
 
+template <class Item, class Request, class OnReply>
+std::vector<core::Status> DpssFile::exchange(
+    const std::vector<std::vector<Item>>& work, const Request& request,
+    const OnReply& on_reply) {
+  std::vector<core::Status> statuses(servers_.size());
+  // Pipeline: send every request, then receive.  The service loop answers
+  // a connection's requests strictly in order, so reply i answers item i;
+  // on_reply checks that it says so.
+  auto round = [&](std::size_t s) {
+    net::ByteStream& stream = *servers_[s];
+    for (const Item& item : work[s]) {
+      net::Message m = request(item);
+      if (active_trace_.sampled()) {
+        // Each request is its own hop on the client's trace.
+        m.trace_id = active_trace_.trace_id;
+        m.span_id = obs::new_span_id();
+      }
+      if (auto st = net::send_message(stream, m); !st.is_ok()) {
+        statuses[s] = st;
+        return;
+      }
+    }
+    for (const Item& item : work[s]) {
+      auto msg = net::recv_message(stream);
+      core::Status st =
+          msg.is_ok() ? on_reply(s, item, msg.value()) : msg.status();
+      if (!st.is_ok()) {
+        statuses[s] = std::move(st);
+        return;
+      }
+    }
+  };
+  // One thread per server with work, exactly as in the paper's client
+  // library.
+  std::vector<std::thread> workers;
+  for (std::size_t s = 0; s < servers_.size(); ++s) {
+    if (!work[s].empty()) workers.emplace_back(round, s);
+  }
+  for (auto& w : workers) w.join();
+  return statuses;
+}
+
+core::Result<DpssFile::Fetched> DpssFile::take_block_reply(
+    const net::Message& msg, std::uint64_t block) {
+  auto reply = decode_block_read_reply(msg);
+  if (!reply.is_ok()) return reply.status();
+  BlockReadReply& r = reply.value();
+  if (r.block != block) {
+    return core::data_loss("block server answered block " +
+                           std::to_string(r.block) + " for block " +
+                           std::to_string(block));
+  }
+  wire_bytes_.add(r.data.size());
+  Fetched out{std::move(r.data), r.generation};
+  if (r.compressed) {
+    auto raw = decompress_block(out.data);
+    if (!raw.is_ok()) return raw.status();
+    out.data = std::move(raw).take();
+  }
+  raw_bytes_.add(out.data.size());
+  return out;
+}
+
 core::Status DpssFile::fetch_wire_blocks(
     const std::vector<std::uint64_t>& blocks,
     std::map<std::uint64_t, Fetched>* received) {
@@ -694,70 +685,29 @@ core::Status DpssFile::fetch_wire_blocks(
     }
     if (!any_assigned) break;
 
-    // One worker thread per server, exactly as in the paper's client
-    // library.  Pipeline: send all requests, then receive.  A worker that
-    // fails keeps the replies it already collected (salvaged below) and
-    // leaves its remaining blocks for the next failover round.
-    std::vector<core::Status> statuses(servers_.size());
-    std::vector<std::map<std::uint64_t, Fetched>> per_server(servers_.size());
-    std::vector<std::thread> workers;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_server[s].empty()) continue;
-      workers.emplace_back([this, s, &by_server, &statuses, &per_server] {
-        net::ByteStream& stream = *servers_[s];
-        for (std::uint64_t b : by_server[s]) {
-          BlockReadRequest req;
-          req.dataset = dataset_;
-          req.block = b;
-          req.compression = compression_;
-          net::Message m = encode_block_read_request(req);
-          if (active_trace_.sampled()) {
-            // Each block request is its own hop on the client's trace.
-            m.trace_id = active_trace_.trace_id;
-            m.span_id = obs::new_span_id();
-          }
-          if (auto st = net::send_message(stream, m); !st.is_ok()) {
-            statuses[s] = st;
-            return;
-          }
-        }
-        for (std::size_t i = 0; i < by_server[s].size(); ++i) {
-          auto msg = net::recv_message(stream);
-          if (!msg.is_ok()) {
-            statuses[s] = msg.status();
-            return;
-          }
-          auto reply = decode_block_read_reply(msg.value());
-          if (!reply.is_ok()) {
-            statuses[s] = reply.status();
-            return;
-          }
-          wire_bytes_.add(reply.value().data.size());
-          std::vector<std::uint8_t> data;
-          if (reply.value().compressed) {
-            auto raw = decompress_block(reply.value().data);
-            if (!raw.is_ok()) {
-              statuses[s] = raw.status();
-              return;
-            }
-            data = std::move(raw).take();
-          } else {
-            data = std::move(reply.value().data);
-          }
-          raw_bytes_.add(data.size());
-          per_server[s][reply.value().block] =
-              Fetched{std::move(data), reply.value().generation};
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
+    // A server that fails keeps the replies it already delivered (salvaged
+    // below) and leaves its remaining blocks for the next failover round.
+    std::vector<std::vector<Fetched>> per_server(servers_.size());
+    const auto statuses = exchange(
+        by_server,
+        [&](std::uint64_t b) {
+          return encode_block_read_request({dataset_, b, compression_});
+        },
+        [&](std::size_t s, std::uint64_t b, const net::Message& msg) {
+          auto fetched = take_block_reply(msg, b);
+          if (!fetched.is_ok()) return fetched.status();
+          per_server[s].push_back(std::move(fetched).take());
+          return core::Status::ok();
+        });
 
     bool any_failed = false;
     bool any_stale = false;
     for (std::size_t s = 0; s < servers_.size(); ++s) {
       if (by_server[s].empty()) continue;
       per_server_blocks_[s] += per_server[s].size();
-      for (auto& [b, fetched] : per_server[s]) {
+      for (std::size_t i = 0; i < per_server[s].size(); ++i) {
+        const std::uint64_t b = by_server[s][i];
+        Fetched& fetched = per_server[s][i];
         // Stale-read detection: an acknowledged write established a floor
         // for this block's generation; a reply below it is a lagging
         // follower, not valid data.
@@ -775,18 +725,13 @@ core::Status DpssFile::fetch_wire_blocks(
         mark_server_failed(s, by_server[s].front(), statuses[s]);
       }
     }
+    if (!any_failed && !any_stale) break;  // every request was answered
 
     std::vector<std::uint64_t> still;
     for (std::uint64_t b : pending) {
       if (received->find(b) == received->end() && orphan_set.count(b) == 0) {
         still.push_back(b);
       }
-    }
-    if (!any_failed && !any_stale) {
-      if (!still.empty()) {
-        return core::data_loss("server returned wrong block set");
-      }
-      break;
     }
     if (!still.empty() && any_failed && !ec_.valid()) {
       failover_reads_.add(still.size());
@@ -806,75 +751,30 @@ core::Status DpssFile::fetch_wire_blocks(
 bool DpssFile::fetch_slices(
     const std::vector<SliceFetch>& fetches,
     std::map<std::uint32_t, std::vector<std::uint8_t>>* out) {
-  // Group by server, pipeline per connection (one worker per server, like
-  // fetch_wire_blocks).  Replies are matched positionally: the service
-  // loop answers a connection's requests strictly in order.
+  // Group by server, one pipelined round per connection.
   std::vector<std::vector<const SliceFetch*>> by_server(servers_.size());
-  for (const SliceFetch& f : fetches) {
-    by_server[f.server].push_back(&f);
-  }
-  std::vector<core::Status> statuses(servers_.size());
-  std::vector<std::map<std::uint32_t, std::vector<std::uint8_t>>> per_server(
+  for (const SliceFetch& f : fetches) by_server[f.server].push_back(&f);
+  std::vector<std::vector<std::vector<std::uint8_t>>> per_server(
       servers_.size());
-  std::vector<std::thread> workers;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    workers.emplace_back([this, s, &by_server, &statuses, &per_server] {
-      net::ByteStream& stream = *servers_[s];
-      for (const SliceFetch* f : by_server[s]) {
-        BlockReadRequest req;
-        req.dataset = f->dataset;
-        req.block = f->block;
-        req.compression = compression_;
-        net::Message m = encode_block_read_request(req);
-        if (active_trace_.sampled()) {
-          m.trace_id = active_trace_.trace_id;
-          m.span_id = obs::new_span_id();
-        }
-        if (auto st = net::send_message(stream, m); !st.is_ok()) {
-          statuses[s] = st;
-          return;
-        }
-      }
-      for (const SliceFetch* f : by_server[s]) {
-        auto msg = net::recv_message(stream);
-        if (!msg.is_ok()) {
-          statuses[s] = msg.status();
-          return;
-        }
-        auto reply = decode_block_read_reply(msg.value());
-        if (!reply.is_ok()) {
-          statuses[s] = reply.status();
-          return;
-        }
-        if (reply.value().block != f->block) {
-          statuses[s] = core::data_loss("slice reply out of order");
-          return;
-        }
-        wire_bytes_.add(reply.value().data.size());
-        std::vector<std::uint8_t> data;
-        if (reply.value().compressed) {
-          auto raw = decompress_block(reply.value().data);
-          if (!raw.is_ok()) {
-            statuses[s] = raw.status();
-            return;
-          }
-          data = std::move(raw).take();
-        } else {
-          data = std::move(reply.value().data);
-        }
-        raw_bytes_.add(data.size());
-        per_server[s][f->slice] = std::move(data);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
+  const auto statuses = exchange(
+      by_server,
+      [&](const SliceFetch* f) {
+        return encode_block_read_request({f->dataset, f->block, compression_});
+      },
+      [&](std::size_t s, const SliceFetch* f, const net::Message& msg) {
+        auto fetched = take_block_reply(msg, f->block);
+        if (!fetched.is_ok()) return fetched.status();
+        per_server[s].push_back(std::move(fetched.value().data));
+        return core::Status::ok();
+      });
 
   bool all_ok = true;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     if (by_server[s].empty()) continue;
     per_server_blocks_[s] += per_server[s].size();
-    for (auto& [slice, data] : per_server[s]) (*out)[slice] = std::move(data);
+    for (std::size_t i = 0; i < per_server[s].size(); ++i) {
+      (*out)[by_server[s][i]->slice] = std::move(per_server[s][i]);
+    }
     if (!statuses[s].is_ok()) {
       all_ok = false;
       mark_server_failed(s, by_server[s].front()->block, statuses[s]);
@@ -1284,38 +1184,27 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
       by_primary[static_cast<std::size_t>(primary)].push_back(std::move(plan));
     }
 
-    // One worker per primary, pipelined: send every request, then collect
-    // every reply (ack or error) positionally.
-    std::vector<core::Status> statuses(servers_.size());
+    // Every reply is kept, ack or typed error.  An ack naming another
+    // block fails the primary's round like a transport error: its blocks
+    // re-plan onto the next live replica.
     std::vector<std::vector<core::Result<IngestWriteReply>>> replies(
         servers_.size());
-    std::vector<std::thread> workers;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_primary[s].empty()) continue;
-      workers.emplace_back([this, s, &by_primary, &statuses, &replies] {
-        net::ByteStream& stream = *servers_[s];
-        for (const Planned& plan : by_primary[s]) {
-          net::Message m = encode_ingest_write_request(plan.req);
-          if (active_trace_.sampled()) {
-            m.trace_id = active_trace_.trace_id;
-            m.span_id = obs::new_span_id();
+    const auto statuses = exchange(
+        by_primary,
+        [](const Planned& plan) {
+          return encode_ingest_write_request(plan.req);
+        },
+        [&](std::size_t s, const Planned& plan, const net::Message& msg) {
+          auto reply = decode_ingest_write_reply(msg);
+          if (reply.is_ok() && reply.value().block != plan.w.block) {
+            return core::data_loss("block server acked block " +
+                                   std::to_string(reply.value().block) +
+                                   " for block " +
+                                   std::to_string(plan.w.block));
           }
-          if (auto st = net::send_message(stream, m); !st.is_ok()) {
-            statuses[s] = st;
-            return;
-          }
-        }
-        for (std::size_t i = 0; i < by_primary[s].size(); ++i) {
-          auto msg = net::recv_message(stream);
-          if (!msg.is_ok()) {
-            statuses[s] = msg.status();
-            return;
-          }
-          replies[s].push_back(decode_ingest_write_reply(msg.value()));
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
+          replies[s].push_back(std::move(reply));
+          return core::Status::ok();
+        });
 
     std::vector<PendingWrite> still;
     core::Status typed_error;  // first per-block error reply, if any
@@ -1364,120 +1253,10 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
       }
     }
     if (!typed_error.is_ok()) return typed_error;
-    if (still.size() == pending.size()) {
-      // No progress: every primary failed and nothing was written.
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        if (!statuses[s].is_ok()) return statuses[s];
-      }
-      return core::unavailable("ingest write acknowledged by no server");
-    }
+    // A block is left over only when its primary's round failed, and that
+    // marked the primary dead, so the loop terminates: the block lands on
+    // a live replica, or planning runs out of live servers above.
     pending = std::move(still);
-  }
-  return core::Status::ok();
-}
-
-core::Status DpssFile::write_fanout(std::uint64_t first_block,
-                                    const std::uint8_t* src, std::size_t len) {
-  std::uint64_t at = first_block * layout_.block_bytes;
-  std::size_t remaining = len;
-  const std::uint8_t* p = src;
-  // Per-server pipelining for writes too; a replicated block is written to
-  // every live replica, each stamped with the same next generation so the
-  // cache tiers re-key exactly as the chain path does.
-  std::vector<std::vector<BlockWriteRequest>> by_server(servers_.size());
-  std::map<std::uint64_t, int> targets_per_block;
-  std::map<std::uint64_t, std::uint64_t> gen_per_block;
-  while (remaining > 0) {
-    const std::uint64_t block = at / layout_.block_bytes;
-    const std::size_t n = std::min<std::size_t>(remaining, layout_.block_bytes);
-    int targets = 0;
-    const std::vector<std::uint32_t> classic_owner = {
-        layout_.server_for_block(block)};
-    const std::uint64_t generation =
-        known_gens_.latest(dataset_, block) + 1;
-    for (std::uint32_t s :
-         placement_ ? candidates_for_block(block) : classic_owner) {
-      if (s >= servers_.size() || !server_alive_[s] || !servers_[s]) continue;
-      BlockWriteRequest req;
-      req.dataset = dataset_;
-      req.block = block;
-      req.generation = generation;
-      req.data.assign(p, p + n);
-      by_server[s].push_back(std::move(req));
-      ++targets;
-    }
-    if (targets == 0) {
-      return core::unavailable("no live replica to write block " +
-                               std::to_string(block));
-    }
-    targets_per_block[block] = targets;
-    gen_per_block[block] = generation;
-    at += n;
-    p += n;
-    remaining -= n;
-  }
-  std::vector<core::Status> statuses(servers_.size());
-  std::vector<std::vector<std::uint64_t>> acked(servers_.size());
-  std::vector<std::thread> workers;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    workers.emplace_back([this, s, &by_server, &statuses, &acked] {
-      net::ByteStream& stream = *servers_[s];
-      for (const auto& req : by_server[s]) {
-        net::Message m = encode_block_write_request(req);
-        if (active_trace_.sampled()) {
-          m.trace_id = active_trace_.trace_id;
-          m.span_id = obs::new_span_id();
-        }
-        if (auto st = net::send_message(stream, m); !st.is_ok()) {
-          statuses[s] = st;
-          return;
-        }
-      }
-      for (std::size_t i = 0; i < by_server[s].size(); ++i) {
-        auto msg = net::recv_message(stream);
-        if (!msg.is_ok()) {
-          statuses[s] = msg.status();
-          return;
-        }
-        auto reply = decode_block_write_reply(msg.value());
-        if (!reply.is_ok()) {
-          statuses[s] = reply.status();
-          return;
-        }
-        acked[s].push_back(reply.value());
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  std::map<std::uint64_t, int> acks;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    for (std::uint64_t b : acked[s]) ++acks[b];
-    if (!statuses[s].is_ok()) {
-      mark_server_failed(s, by_server[s].front().block, statuses[s]);
-    }
-  }
-  for (const auto& [block, targets] : targets_per_block) {
-    if (acks[block] == 0) {
-      // Every replica write failed: the block is not durable anywhere.
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        if (!statuses[s].is_ok()) return statuses[s];
-      }
-      return core::unavailable("block write acknowledged by no replica");
-    }
-    if (acks[block] < targets) {
-      // Durable but under-replicated: count it (the dead replica was
-      // reported via mark_server_failed, so a rebalance can repair).
-      degraded_writes_.inc();
-    }
-    // The stamp is learned only once acknowledged somewhere, so a failed
-    // write never raises the generation floor past what exists.
-    const std::uint64_t generation = gen_per_block[block];
-    if (known_gens_.observe(dataset_, block, generation) && ra_cache_) {
-      ra_cache_->erase(cache::BlockKey{dataset_, block, generation - 1});
-    }
   }
   return core::Status::ok();
 }
@@ -1486,16 +1265,6 @@ core::Status DpssFile::write(const std::uint8_t* buf, std::size_t len) {
   OBS_STAGE("client.write");
   if (offset_ % layout_.block_bytes != 0) {
     return core::invalid_argument("dpssWrite must start block-aligned");
-  }
-  const bool chain =
-      ingest_capable_ && write_mode_ == WriteMode::kServerChain;
-  if (ec_.valid() && !chain) {
-    // Without the server-driven pipeline a data-slice write would silently
-    // invalidate its group's parity; old-mode deployments must re-ingest.
-    return core::failed_precondition(
-        "dpssWrite on erasure-coded dataset " + dataset_ +
-        " requires an ingest-capable deployment (parity-delta writes); "
-        "re-ingest to update");
   }
   std::lock_guard lk(wire_mu_);
   const double t0 = core::global_real_clock().now();
@@ -1511,8 +1280,7 @@ core::Status DpssFile::write(const std::uint8_t* buf, std::size_t len) {
   }
   active_trace_ = trace;
   const std::uint64_t first_block = offset_ / layout_.block_bytes;
-  auto st = chain ? write_chain(first_block, buf, len)
-                  : write_fanout(first_block, buf, len);
+  auto st = write_chain(first_block, buf, len);
   active_trace_ = obs::TraceContext{};
   if (!st.is_ok()) return st;
   offset_ += len;

@@ -8,9 +8,12 @@
 // servers." (section 3.5)
 //
 // DpssClient talks to the master to resolve a dataset, then DpssFile opens
-// one connection *per block server* and fans block requests out with one
-// worker thread per server -- the client-side parallelism Visapult's
-// back-end PEs leverage for their parallel loads.
+// one connection *per block server*.  Every wire round -- block reads, EC
+// slice reads, ingest writes -- goes through one exchange: per server with
+// work, send all of its requests, then read one reply per request, each
+// matched to its request by block id, with one thread per server -- the
+// client-side parallelism Visapult's back-end PEs leverage for their
+// parallel loads.
 //
 // Replica-aware datasets (OpenReply.ring_vnodes > 0) add failover: the
 // client rebuilds the placement ring locally, ranks each block's replicas
@@ -27,10 +30,11 @@
 // from the "#parity" companion dataset) and decode.  The failure is
 // reported to the master exactly as replica failover reports it.
 //
-// Writes go through the server-driven ingest pipeline (PR 5): each block
-// is sent ONCE, to its primary, which chain-replicates it down the
-// remaining replicas (or, erasure-coded, ships GF parity deltas to the
-// parity owners) under the file's ack policy.  The reply's generation
+// Writes go through the server-driven ingest pipeline, the only write
+// protocol: each block is sent ONCE, to its primary, which
+// chain-replicates it down the remaining replicas (or, erasure-coded,
+// ships GF parity deltas to the parity owners; a classic stripe is a
+// chain of one) under the file's ack policy.  The reply's generation
 // stamp keys the read-ahead tier and arms stale-read detection: a replica
 // that answers with a generation older than one this file saw acknowledged
 // is skipped and the block retried elsewhere.  Replicas the policy (or a
@@ -167,6 +171,9 @@ class DpssClient {
   struct MasterLink {
     net::StreamPtr stream;
     std::mutex mu;
+    // One request/reply round trip under `mu`; unavailable once the
+    // stream is gone.
+    core::Result<net::Message> call(const net::Message& msg);
   };
   // Cached open state for one dataset: the last full reply's placement
   // body plus the shared map, spliced back in when the master answers
@@ -193,6 +200,11 @@ class DpssClient {
   core::Result<std::uint64_t> pull_deltas(std::uint32_t shard,
                                           const std::string& dataset,
                                           std::uint64_t since);
+  // One round trip over a throwaway connection to block server `addr`:
+  // stats and profile pulls must not interleave with any DpssFile's
+  // pipelined streams.
+  core::Result<net::Message> ask_server(const ServerAddress& addr,
+                                        const net::Message& msg);
 
   std::shared_ptr<MasterLink> master_;
   Connector connector_;
@@ -241,8 +253,7 @@ class DpssFile {
            std::vector<placement::HealthState> server_health = {},
            std::vector<std::uint64_t> server_load = {},
            FailureReporter reporter = nullptr,
-           FixupReporter fixup_reporter = nullptr,
-           bool ingest_capable = true);
+           FixupReporter fixup_reporter = nullptr);
   ~DpssFile();
 
   const DatasetLayout& layout() const { return layout_; }
@@ -274,11 +285,11 @@ class DpssFile {
 
   // dpssWrite(): striped write-through at the current offset (ingest path).
   // Writes must be block-aligned and whole-block except the final block.
-  // Against an ingest-capable deployment each block travels ONCE, to its
-  // primary, which replicates it server-side (chain for replicas, parity
-  // deltas for EC) under the file's ack policy; old-mode deployments fall
-  // back to the classic client-fanout write, and EC datasets there refuse
-  // with kFailedPrecondition.
+  // Each block travels ONCE, to its primary, which replicates it
+  // server-side (chain for replicas, parity deltas for EC, nothing more
+  // for a classic stripe) under the file's ack policy.  A primary that
+  // dies or mislabels its ack is marked dead and the block re-planned onto
+  // the next live replica.
   core::Status write(const std::uint8_t* buf, std::size_t len);
 
   // Durable-copy policy for writes (default: every replica / parity owner
@@ -291,15 +302,6 @@ class DpssFile {
   // bytes until Master::tick drains the fixups.
   void set_ack_policy(ingest::AckPolicy policy) { ack_policy_ = policy; }
   ingest::AckPolicy ack_policy() const { return ack_policy_; }
-
-  // Write transport: server-driven chain (the default wherever the
-  // deployment supports it) or the classic client-fanout, kept for
-  // old-mode deployments and A/B benchmarking.  EC datasets require the
-  // chain.
-  enum class WriteMode { kServerChain, kClientFanout };
-  void set_write_mode(WriteMode mode) { write_mode_ = mode; }
-  WriteMode write_mode() const { return write_mode_; }
-  bool ingest_capable() const { return ingest_capable_; }
 
   // dpssClose(): close all server connections.
   void close();
@@ -402,9 +404,27 @@ class DpssFile {
     std::uint64_t generation = 0;
   };
   core::Status fetch_blocks(std::vector<BlockRef> refs);
-  // Fetch whole blocks from their owning servers, one worker per server,
-  // pipelined; on a server failure the affected blocks retry against the
-  // next live replica (or, erasure-coded, fall through to reconstruction).
+  // One pipelined round per server with work: stamp the active trace on
+  // each request, send one `request(item)` per item of work[s], then read
+  // one reply per request and hand it to `on_reply(s, item, reply)` on
+  // that server's thread, so decode and decompress stay parallel.  A
+  // server's round stops at its first failure -- a transport error or an
+  // on_reply error.  One thread per server with work.  Returns a status
+  // per server (ok where there was no work).  Caller holds wire_mu_.
+  // Defined in client.cpp, its only user.
+  template <class Item, class Request, class OnReply>
+  std::vector<core::Status> exchange(
+      const std::vector<std::vector<Item>>& work, const Request& request,
+      const OnReply& on_reply);
+  // Decode one block-read reply that must answer `block`: a reply naming
+  // another block is a server failure, like a transport error.  Counts
+  // wire and raw bytes and decompresses.
+  core::Result<Fetched> take_block_reply(const net::Message& msg,
+                                         std::uint64_t block);
+  // Fetch whole blocks from their owning servers through exchange(); on
+  // a server failure (a mislabelled reply included) the affected blocks
+  // retry against the next live replica (or, erasure-coded, fall through
+  // to reconstruction).
   // A replica answering with a generation older than an acknowledged write
   // is skipped for that block and the fetch retried on the next replica.
   // Caller must hold wire_mu_ (the per-server streams carry pipelined
@@ -429,15 +449,11 @@ class DpssFile {
                     std::map<std::uint32_t, std::vector<std::uint8_t>>* out);
   void prefetch_fill(std::uint64_t block);
 
-  // ---- write paths (all hold wire_mu_) ----
+  // ---- write path (holds wire_mu_) ----
   // Server-driven pipeline: one IngestWriteRequest per block to its
   // primary, pipelined per primary connection.
   core::Status write_chain(std::uint64_t first_block,
                            const std::uint8_t* src, std::size_t len);
-  // Classic client-fanout: every replica written from here (old-mode
-  // deployments and A/B benches).
-  core::Status write_fanout(std::uint64_t first_block,
-                            const std::uint8_t* src, std::size_t len);
   // Bookkeeping for one acknowledged ingest write: learn the generation,
   // re-key the read-ahead tier, count degradation, report missed targets
   // (matched against `deltas` so a missed parity owner's debt names the
@@ -468,11 +484,9 @@ class DpssFile {
   std::vector<std::uint64_t> server_load_;
   FailureReporter reporter_;
   FixupReporter fixup_reporter_;
-  bool ingest_capable_ = true;
   std::uint64_t generation_floor_ = 0;
   meta::CacheHint cache_hint_ = meta::CacheHint::kNone;
   ingest::AckPolicy ack_policy_ = ingest::AckPolicy::kAll;
-  WriteMode write_mode_ = WriteMode::kServerChain;
   // Latest acknowledged/observed generation per block (its own lock).
   ingest::GenerationMap known_gens_;
   // Per-server liveness as seen by this file (guarded by wire_mu_ on the

@@ -116,10 +116,6 @@ core::Result<OpenReply> Master::lookup(const std::string& name,
                  : static_cast<std::uint32_t>(placement::kDefaultVnodes))
           : 0;
   reply.ec = entry.placement.ec;
-  {
-    std::lock_guard lk(mu_);
-    reply.ingest_capable = ingest_capable_;
-  }
   // Health/load snapshot taken outside mu_: the tracker has its own lock.
   reply.server_health.reserve(reply.servers.size());
   reply.server_load.reserve(reply.servers.size());
@@ -462,11 +458,6 @@ void Master::set_fixup_executor(
 
 void Master::report_fixup(const ingest::FixupTask& task) {
   fixups_.push(task);
-}
-
-void Master::set_ingest_capable(bool capable) {
-  std::lock_guard lk(mu_);
-  ingest_capable_ = capable;
 }
 
 core::Status Master::enable_alerts(const std::vector<std::string>& rules) {

@@ -64,7 +64,6 @@ static void fields(Io& io, dpss::OpenReply& r) {
   io.check(r.ec.data_slices >= 1 && r.ec.data_slices <= 255 &&
                r.ec.parity_slices <= 255 - r.ec.data_slices,
            "EC profile outside GF(2^8) limits");
-  io(r.ingest_capable);
   // One (health, load) pair per server, padded on encode so the decoder
   // always gets parallel vectors.
   for (std::size_t i = 0; i < r.servers.size(); ++i) {
@@ -99,11 +98,6 @@ static void fields(Io& io, dpss::BlockReadRequest& r) {
 template <class Io>
 static void fields(Io& io, dpss::BlockReadReply& r) {
   io(r.block, r.compressed, r.generation, r.data);
-}
-
-template <class Io>
-static void fields(Io& io, dpss::BlockWriteRequest& r) {
-  io(r.dataset, r.block, r.generation, r.data);
 }
 
 template <class Io>
@@ -223,21 +217,6 @@ net::Message encode_block_read_reply(const BlockReadReply& r) {
 }
 core::Result<BlockReadReply> decode_block_read_reply(const net::Message& m) {
   return decode_reply<BlockReadReply>(m, kBlockReadReply, "BlockReadReply");
-}
-
-net::Message encode_block_write_request(const BlockWriteRequest& r) {
-  return net::encode(kBlockWriteRequest, r);
-}
-core::Result<BlockWriteRequest> decode_block_write_request(
-    const net::Message& m) {
-  return decode<BlockWriteRequest>(m, kBlockWriteRequest, "BlockWriteRequest");
-}
-
-net::Message encode_block_write_reply(std::uint64_t block) {
-  return net::encode(kBlockWriteReply, block);
-}
-core::Result<std::uint64_t> decode_block_write_reply(const net::Message& m) {
-  return decode_reply<std::uint64_t>(m, kBlockWriteReply, "BlockWriteReply");
 }
 
 net::Message encode_error_reply(const core::Status& status) {

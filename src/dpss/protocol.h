@@ -42,8 +42,11 @@ enum MessageType : std::uint32_t {
   kOpenReply,
   kBlockReadRequest,
   kBlockReadReply,
-  kBlockWriteRequest,
-  kBlockWriteReply,
+  // Retired: the client-fanout block write and its ack.  The slots stay
+  // reserved so every later code keeps its wire value; a block server
+  // answers them like any unknown request.
+  kRetiredFanoutWriteRequest,
+  kRetiredFanoutWriteReply,
   kCloseRequest,
   kCloseReply,
   kErrorReply,
@@ -132,13 +135,6 @@ struct OpenReply {
   // block's group.  Requires ring_vnodes > 0.
   codec::EcProfile ec;
 
-  // ---- ingest pipeline (PR 5) ----
-  // True when the deployment's servers speak kIngestWriteRequest (chain
-  // replication and parity-delta writes).  A client talking to an old-mode
-  // master falls back to the classic client-fanout write for replicated
-  // datasets and refuses EC writes with a typed kFailedPrecondition.
-  bool ingest_capable = true;
-
   // ---- sharded metadata plane (PR 9) ----
   // Epoch of the catalog entry this reply describes.  Clients cache the
   // reply per dataset keyed by this and send it back as
@@ -191,16 +187,6 @@ struct BlockReadReply {
   // Ingest generation of the served bytes (0 for never-overwritten
   // blocks).  Clients use it to key their read-ahead tier and to detect a
   // replica serving data older than an acknowledged write.
-  std::uint64_t generation = 0;
-};
-
-struct BlockWriteRequest {
-  std::string dataset;
-  std::uint64_t block = 0;
-  std::vector<std::uint8_t> data;
-  // 0 preserves the block's current generation (ingest/migration fills);
-  // non-zero stamps the write, which the server rejects as stale when the
-  // block already carries a newer generation.
   std::uint64_t generation = 0;
 };
 
@@ -324,12 +310,6 @@ core::Result<BlockReadRequest> decode_block_read_request(const net::Message& m);
 
 net::Message encode_block_read_reply(const BlockReadReply& r);
 core::Result<BlockReadReply> decode_block_read_reply(const net::Message& m);
-
-net::Message encode_block_write_request(const BlockWriteRequest& r);
-core::Result<BlockWriteRequest> decode_block_write_request(const net::Message& m);
-
-net::Message encode_block_write_reply(std::uint64_t block);
-core::Result<std::uint64_t> decode_block_write_reply(const net::Message& m);
 
 net::Message encode_error_reply(const core::Status& status);
 core::Status decode_error_reply(const net::Message& m);

@@ -690,26 +690,6 @@ net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
         reply = encode_block_read_reply(r);
         break;
       }
-      case kBlockWriteRequest: {
-        OBS_STAGE("serv.write");
-        latency = &write_seconds_;
-        auto req = decode_block_write_request(msg);
-        if (!req.is_ok()) {
-          reply = encode_error_reply(req.status());
-          break;
-        }
-        const std::uint64_t block = req.value().block;
-        core::Status st =
-            req.value().generation == 0
-                ? put_block(req.value().dataset, block,
-                            std::move(req.value().data))
-                : put_block_at(req.value().dataset, block,
-                               std::move(req.value().data),
-                               req.value().generation);
-        reply = st.is_ok() ? encode_block_write_reply(block)
-                           : encode_error_reply(st);
-        break;
-      }
       case kIngestWriteRequest: {
         OBS_STAGE("serv.ingest");
         latency = &write_seconds_;

@@ -160,7 +160,7 @@ class BlockServer {
   // same body, same accounting -- but only when that cannot block: an
   // uncompressed block read whose block is pinned in the memory tier at its
   // current generation.  Anything else (a miss, which would charge the
-  // modelled disk; a compressed read; writes, ingest and parity traffic;
+  // modelled disk; a compressed read; ingest writes and parity traffic;
   // a prefetcher without its own pool, whose fills run inline) is declined:
   // returns nullopt with `msg` untouched, for handle_request on a worker.
   std::optional<net::Message> handle_resident_read(net::Message& msg,

@@ -1,10 +1,13 @@
 // DPSS end-to-end over in-memory pipes: master lookup, access control,
-// striped parallel reads, Unix-like seek/read semantics, load balance.
+// striped parallel reads, Unix-like seek/read semantics, load balance, and
+// replies matched to their requests against a server that mislabels them.
 #include "dpss/client.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "dpss/deployment.h"
 
@@ -246,6 +249,145 @@ TEST(DpssStripeBlocks, LargerStripesStillCorrect) {
   std::vector<std::uint8_t> buf(expected.size());
   ASSERT_TRUE(file.value()->read(buf.data(), buf.size()).is_ok());
   EXPECT_EQ(buf, expected);
+}
+
+// A block server that answers every request for block b as if it were
+// block b + 1: reads carry a full block of bytes and writes claim a
+// complete ack, but no reply names the block that was asked for.
+class MislabellingServer {
+ public:
+  static constexpr std::uint32_t kBlock = 8192;
+
+  ~MislabellingServer() {
+    for (auto& t : threads_) t.join();
+  }
+
+  net::StreamPtr connect() {
+    auto [near_end, far_end] = net::make_pipe();
+    threads_.emplace_back([this, far = far_end] { serve(*far); });
+    return near_end;
+  }
+
+  int requests() const { return requests_.load(); }
+
+ private:
+  void serve(net::ByteStream& stream) {
+    for (;;) {
+      auto msg = net::recv_message(stream);
+      if (!msg.is_ok()) return;
+      requests_.fetch_add(1);
+      net::Message reply;
+      if (auto read = decode_block_read_request(msg.value()); read.is_ok()) {
+        reply = encode_block_read_reply(
+            {read.value().block + 1, false,
+             std::vector<std::uint8_t>(kBlock, 0x5a), 0});
+      } else if (auto write = decode_ingest_write_request(msg.value());
+                 write.is_ok()) {
+        IngestWriteReply ack;
+        ack.block = write.value().block + 1;
+        ack.generation = 1;
+        ack.acks = 1 + static_cast<std::uint32_t>(write.value().chain.size());
+        reply = encode_ingest_write_reply(ack);
+      } else {
+        reply = encode_error_reply(core::invalid_argument("unexpected"));
+      }
+      if (!net::send_message(stream, reply).is_ok()) return;
+    }
+  }
+
+  std::atomic<int> requests_{0};
+  std::vector<std::thread> threads_;
+};
+
+// A client of `deployment` whose connections to server `liar_index` reach
+// `liar` instead of the real server.
+DpssClient client_with_liar(PipeDeployment& deployment, int liar_index,
+                            MislabellingServer& liar) {
+  auto [client_end, master_end] = net::make_pipe();
+  deployment.master().serve(master_end);
+  Connector connector =
+      [&deployment, &liar, liar_index](
+          const ServerAddress& addr) -> core::Result<net::StreamPtr> {
+    for (int i = 0; i < deployment.server_count(); ++i) {
+      if (deployment.server_address(i) != addr) continue;
+      if (i == liar_index) return liar.connect();
+      auto [near_end, far_end] = net::make_pipe();
+      deployment.server(i).serve(far_end);
+      return near_end;
+    }
+    return core::not_found("unknown server " + addr.host);
+  };
+  return DpssClient(client_end, std::move(connector));
+}
+
+TEST(DpssReplyMatching, MislabelledReadReplyFailsOverToTheOtherReplica) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  PipeDeployment deployment(4);
+  ASSERT_TRUE(deployment
+                  .ingest(desc, MislabellingServer::kBlock, 1,
+                          /*replication_factor=*/2)
+                  .is_ok());
+  auto map = deployment.master().placement_map(desc.name);
+  ASSERT_NE(map, nullptr);
+  // The first-ranked replica of block 0, so the read asks the liar.
+  const int liar_index =
+      static_cast<int>(map->replicas_for_block(0).servers.front());
+
+  MislabellingServer liar;
+  auto client = client_with_liar(deployment, liar_index, liar);
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+
+  const auto expected = step_bytes(desc, 0);
+  std::vector<std::uint8_t> buf(expected.size());
+  auto n = file.value()->read(buf.data(), buf.size());
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  ASSERT_EQ(n.value(), expected.size());
+  EXPECT_EQ(buf, expected);
+  EXPECT_GT(liar.requests(), 0);
+  EXPECT_EQ(file.value()->dead_servers(), std::vector<int>{liar_index});
+  EXPECT_GT(file.value()->failover_reads(), 0u);
+}
+
+TEST(DpssReplyMatching, MislabelledWriteAckReplansOntoARealReplica) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  PipeDeployment deployment(4);
+  ASSERT_TRUE(deployment
+                  .ingest(desc, MislabellingServer::kBlock, 1,
+                          /*replication_factor=*/2)
+                  .is_ok());
+  auto map = deployment.master().placement_map(desc.name);
+  ASSERT_NE(map, nullptr);
+  // Block 0's ring-order primary -- where its write goes -- is the liar.
+  const auto& replicas = map->replicas_for_block(0).servers;
+  ASSERT_EQ(replicas.size(), 2u);
+  const int liar_index = static_cast<int>(replicas[0]);
+  const int real_index = static_cast<int>(replicas[1]);
+
+  MislabellingServer liar;
+  auto client = client_with_liar(deployment, liar_index, liar);
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+
+  std::vector<std::uint8_t> fresh(MislabellingServer::kBlock);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  auto st = file.value()->write(fresh.data(), fresh.size());
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(liar.requests(), 1);
+  EXPECT_EQ(file.value()->dead_servers(), std::vector<int>{liar_index});
+  EXPECT_EQ(file.value()->known_generation(0), 1u);
+
+  // The re-planned write landed on the real replica at the new generation.
+  auto stored = deployment.server(real_index).stamped_block(desc.name, 0);
+  ASSERT_TRUE(stored.is_ok());
+  EXPECT_EQ(stored.value().generation, 1u);
+  EXPECT_EQ(stored.value().data, fresh);
+  std::vector<std::uint8_t> back(fresh.size());
+  auto n = file.value()->pread(back.data(), back.size(), 0);
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  EXPECT_EQ(back, fresh);
 }
 
 }  // namespace

@@ -133,19 +133,6 @@ TEST(Protocol, BlockReadRoundTrip) {
   EXPECT_EQ(r2.value().data, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
-TEST(Protocol, BlockWriteRoundTrip) {
-  BlockWriteRequest req;
-  req.dataset = "ds";
-  req.block = 9;
-  req.data = {9, 9, 9, 9};
-  auto back = decode_block_write_request(encode_block_write_request(req));
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().data.size(), 4u);
-  auto ack = decode_block_write_reply(encode_block_write_reply(9));
-  ASSERT_TRUE(ack.is_ok());
-  EXPECT_EQ(ack.value(), 9u);
-}
-
 TEST(Protocol, ErrorReplyCarriesStatus) {
   const auto status = core::permission_denied("bad token");
   auto msg = encode_error_reply(status);
@@ -332,7 +319,6 @@ TEST(ProtocolWire, EveryMessageEncodesToPinnedBytes) {
   open_reply.server_health = {placement::HealthState::kSuspect};
   open_reply.server_load = {5};
   open_reply.ec = codec::EcProfile{4, 2};
-  open_reply.ingest_capable = false;
   open_reply.catalog_epoch = 9;
   open_reply.not_modified = true;
   open_reply.max_generation = 12;
@@ -421,20 +407,14 @@ TEST(ProtocolWire, EveryMessageEncodesToPinnedBytes) {
        encode_open_reply(open_reply),
        "1100000000000000001000000000000000040000020000000300000002000000"
        "020000006831591b00000200000068325a1b0000020000001000000004000000"
-       "0200000000010500000000000000000000000000000000090000000000000001"
-       "0c0000000000000001"},
+       "020000000105000000000000000000000000000000000900000000000000010c"
+       "0000000000000001"},
       {"BlockReadRequest", kBlockReadRequest,
        encode_block_read_request({"ds", 42, {Codec::kLossyQuant, 16}}),
        "0200000064732a000000000000000210"},
       {"BlockReadReply", kBlockReadReply,
        encode_block_read_reply({42, true, {1, 2, 3}, 8}),
        "2a000000000000000108000000000000000300000000000000010203"},
-      {"BlockWriteRequest", kBlockWriteRequest,
-       encode_block_write_request({"ds", 43, {4, 5}, 9}),
-       "0200000064732b00000000000000090000000000000002000000000000000405"},
-      {"BlockWriteReply", kBlockWriteReply,
-       encode_block_write_reply(44),
-       "2c00000000000000"},
       {"ErrorReply", kErrorReply,
        encode_error_reply(core::not_found("gone")),
        "0200000004000000676f6e65"},
@@ -528,6 +508,18 @@ TEST(ProtocolWire, EveryMessageEncodesToPinnedBytes) {
 // out of the decoder (bad_alloc from a reserve, length_error from a
 // resize) and killed the master; now every count is bounded by the bytes
 // actually left in the payload.
+// Message codes are wire bytes too: retiring a message keeps its slot, so
+// every later code keeps the value earlier releases sent.
+TEST(ProtocolWire, MessageCodesKeepTheirValues) {
+  EXPECT_EQ(kOpenRequest, 0x4450531u);
+  EXPECT_EQ(kRetiredFanoutWriteRequest, 0x4450535u);
+  EXPECT_EQ(kRetiredFanoutWriteReply, 0x4450536u);
+  EXPECT_EQ(kCloseRequest, 0x4450537u);
+  EXPECT_EQ(kErrorReply, 0x4450539u);
+  EXPECT_EQ(kIngestWriteRequest, 0x445053eu);
+  EXPECT_EQ(kProfileReply, 0x4450551u);
+}
+
 TEST(ProtocolWire, HostileCountsAreDataLossNotExceptions) {
   net::Writer spans;
   spans.str("x");
@@ -660,7 +652,6 @@ std::vector<WireCase> every_message_type() {
           r.server_load.push_back(rng.next_u64());
         }
         r.ec = random_ec(rng);
-        r.ingest_capable = rng.chance(0.5);
         r.catalog_epoch = rng.next_u64();
         r.not_modified = rng.chance(0.5);
         r.max_generation = rng.next_u64();
@@ -684,16 +675,6 @@ std::vector<WireCase> every_message_type() {
                               random_bytes(rng), rng.next_u64()};
       },
       encode_block_read_reply, decode_block_read_reply));
-  cases.push_back(wire_case(
-      "BlockWriteRequest",
-      [](core::Rng& rng) {
-        return BlockWriteRequest{random_str(rng), rng.next_u64(),
-                                 random_bytes(rng), rng.next_u64()};
-      },
-      encode_block_write_request, decode_block_write_request));
-  cases.push_back(wire_case(
-      "BlockWriteReply", [](core::Rng& rng) { return rng.next_u64(); },
-      encode_block_write_reply, decode_block_write_reply));
   cases.push_back(wire_case(
       "ErrorReply",
       [](core::Rng& rng) {

@@ -80,17 +80,24 @@ TEST(BlockServer, ServesWritesOverStream) {
   auto [client, server_end] = net::make_pipe();
   server.serve(server_end);
 
-  BlockWriteRequest req;
+  // An ingest write with an empty chain: the server applies it locally
+  // and acks as the whole pipeline.
+  IngestWriteRequest req;
   req.dataset = "ds";
   req.block = 0;
   req.data = {9, 8};
-  ASSERT_TRUE(net::send_message(*client, encode_block_write_request(req)).is_ok());
+  ASSERT_TRUE(
+      net::send_message(*client, encode_ingest_write_request(req)).is_ok());
   auto msg = net::recv_message(*client);
   ASSERT_TRUE(msg.is_ok());
-  ASSERT_TRUE(decode_block_write_reply(msg.value()).is_ok());
-  auto got = server.get_block("ds", 0);
+  auto ack = decode_ingest_write_reply(msg.value());
+  ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+  EXPECT_EQ(ack.value().block, 0u);
+  EXPECT_EQ(ack.value().generation, 1u);
+  auto got = server.stamped_block("ds", 0);
   ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(got.value(), (std::vector<std::uint8_t>{9, 8}));
+  EXPECT_EQ(got.value().data, (std::vector<std::uint8_t>{9, 8}));
+  EXPECT_EQ(got.value().generation, 1u);
   client->close();
   server.shutdown();
 }
@@ -99,12 +106,16 @@ TEST(BlockServer, UnknownRequestGetsErrorReply) {
   BlockServer server("s0");
   auto [client, server_end] = net::make_pipe();
   server.serve(server_end);
-  net::Message bogus;
-  bogus.type = 0xdead;
-  ASSERT_TRUE(net::send_message(*client, bogus).is_ok());
-  auto msg = net::recv_message(*client);
-  ASSERT_TRUE(msg.is_ok());
-  EXPECT_EQ(msg.value().type, static_cast<std::uint32_t>(kErrorReply));
+  // An arbitrary code, and the retired client-fanout write.
+  for (std::uint32_t type : {std::uint32_t{0xdead},
+                             std::uint32_t{kRetiredFanoutWriteRequest}}) {
+    net::Message bogus;
+    bogus.type = type;
+    ASSERT_TRUE(net::send_message(*client, bogus).is_ok());
+    auto msg = net::recv_message(*client);
+    ASSERT_TRUE(msg.is_ok());
+    EXPECT_EQ(msg.value().type, static_cast<std::uint32_t>(kErrorReply));
+  }
   client->close();
   server.shutdown();
 }
