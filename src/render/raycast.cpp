@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace visapult::render {
@@ -56,40 +58,210 @@ Tap make_tap(float coord, int n, std::size_t stride) {
 
 float lerp(float a, float b, float t) { return a + (b - a) * t; }
 
-// Volume::sample from precomputed taps: the same eight cells and the same
-// seven lerps in the same order (x, then y, then z).
-float trilinear(const float* d, const Tap& x, const Tap& y, const Tap& z) {
-  const float c00 = lerp(d[x.lo + y.lo + z.lo], d[x.hi + y.lo + z.lo], x.f);
-  const float c10 = lerp(d[x.lo + y.hi + z.lo], d[x.hi + y.hi + z.lo], x.f);
-  const float c01 = lerp(d[x.lo + y.lo + z.hi], d[x.hi + y.lo + z.hi], x.f);
-  const float c11 = lerp(d[x.lo + y.hi + z.hi], d[x.hi + y.hi + z.hi], x.f);
-  return lerp(lerp(c00, c10, y.f), lerp(c01, c11, y.f), z.f);
+// Four rays per 16-byte GCC vector (SSE2 on x86-64, wider targets compile
+// the same code).  Lanes run scalar IEEE operations in the scalar order.
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+using U4 = std::uint32_t __attribute__((vector_size(16)));
+constexpr int kLanes = 4;
+constexpr int kGroups = 2;                // lane groups marched side by side
+constexpr int kBlock = kLanes * kGroups;  // image columns per block
+constexpr int kPlanes = 4;                // per sample: see fill_planes
+
+static_assert(sizeof(StepClassifier::Entry) == sizeof(F4));
+
+F4 splat(float f) { return F4{f, f, f, f}; }
+
+// x where m is set, +0 elsewhere.
+F4 masked(F4 x, I4 m) {
+  return reinterpret_cast<F4>(reinterpret_cast<I4>(x) & m);
 }
 
-// Marches one image row.  `ut` holds a tap per column, `v` is the row's
-// tap and `wt` a tap per sample along the view axis; image_axes_for's
-// cyclic convention decides which of them is x, y and z.
+bool any(I4 m) {
+  std::uint64_t h[2];
+  std::memcpy(h, &m, sizeof h);
+  return (h[0] | h[1]) != 0;
+}
+
+// Volume::sample's (x, y, z) taps for the ray through column tap u and row
+// tap v at sample tap w; image_axes_for's cyclic convention decides which
+// is which.
+struct Xyz {
+  const Tap& x;
+  const Tap& y;
+  const Tap& z;
+};
+
 template <vol::Axis kView>
-void march_row(const float* d, const StepClassifier& classify,
-               const std::vector<Tap>& ut, const Tap& v,
-               const std::vector<Tap>& wt, core::Pixel* row) {
-  for (std::size_t i = 0; i < ut.size(); ++i) {
-    const Tap& u = ut[i];
-    core::Pixel acc;
-    for (const Tap& w : wt) {
-      float raw;
-      if constexpr (kView == vol::Axis::kX) {
-        raw = trilinear(d, w, u, v);  // u = Y, v = Z
-      } else if constexpr (kView == vol::Axis::kY) {
-        raw = trilinear(d, v, w, u);  // u = Z, v = X
-      } else {
-        raw = trilinear(d, u, v, w);  // u = X, v = Y
+Xyz xyz(const Tap& u, const Tap& v, const Tap& w) {
+  if constexpr (kView == vol::Axis::kX) {
+    return {w, u, v};  // u = Y, v = Z
+  } else if constexpr (kView == vol::Axis::kY) {
+    return {v, w, u};  // u = Z, v = X
+  } else {
+    return {u, v, w};  // u = X, v = Y
+  }
+}
+
+// Whether rows at taps a and b have the same x-lerps.  These depend on the
+// x taps and the y and z cell indices, not on the y and z fractions, so
+// the rows of one cell row share them; in the Y view the row is x, so only
+// the row itself does.
+template <vol::Axis kView>
+bool same_planes(const Tap& a, const Tap& b) {
+  return a.lo == b.lo && a.hi == b.hi &&
+         (kView != vol::Axis::kY || a.f == b.f);
+}
+
+// Stage 1: Volume::sample's four x-lerps c00, c10, c01, c11 (cYZ: y and z
+// neighbour) for every sample of the block's kBlock columns in row tap v,
+// stored as the planes c00, c10 - c00, c01, c11 - c01 that stage 2's
+// y-lerps take, laid out [sample][plane][group] so stage 2 reads them in
+// order.  In the X and Y views the column is y or z, so neighbouring
+// columns in one cell have the same x-lerps and copy them.
+template <vol::Axis kView>
+void fill_planes(const float* d, const Tap* ut, const Tap& v,
+                 const std::vector<Tap>& wt, F4* planes) {
+  for (std::size_t s = 0; s < wt.size(); ++s) {
+    F4* out = planes + s * kPlanes * kGroups;
+    for (int c = 0; c < kBlock; ++c) {
+      const int g = c / kLanes, l = c % kLanes;
+      if (kView != vol::Axis::kZ && c > 0 && ut[c].lo == ut[c - 1].lo &&
+          ut[c].hi == ut[c - 1].hi) {
+        const int pg = (c - 1) / kLanes, pl = (c - 1) % kLanes;
+        for (int p = 0; p < kPlanes; ++p) {
+          out[p * kGroups + g][l] = out[p * kGroups + pg][pl];
+        }
+        continue;
       }
-      const StepClassifier::Entry& e = classify(raw);
-      if (e.alpha > 0.0f) accumulate(acc, e);
-      if (acc.a >= kOpaqueCutoff) break;
+      const Xyz t = xyz<kView>(ut[c], v, wt[s]);
+      const float c00 = lerp(d[t.x.lo + t.y.lo + t.z.lo],
+                             d[t.x.hi + t.y.lo + t.z.lo], t.x.f);
+      const float c10 = lerp(d[t.x.lo + t.y.hi + t.z.lo],
+                             d[t.x.hi + t.y.hi + t.z.lo], t.x.f);
+      const float c01 = lerp(d[t.x.lo + t.y.lo + t.z.hi],
+                             d[t.x.hi + t.y.lo + t.z.hi], t.x.f);
+      const float c11 = lerp(d[t.x.lo + t.y.hi + t.z.hi],
+                             d[t.x.hi + t.y.hi + t.z.hi], t.x.f);
+      out[0 * kGroups + g][l] = c00;
+      out[1 * kGroups + g][l] = c10 - c00;
+      out[2 * kGroups + g][l] = c01;
+      out[3 * kGroups + g][l] = c11 - c01;
     }
-    row[i] = acc;
+  }
+}
+
+// Stage 2: marches the block's first `columns` rays of row tap v through
+// the planes: Volume::sample's last three lerps (y, y, then z),
+// StepClassifier's lookup and the front-to-back blend, kLanes rays per
+// vector.  `wf` is each sample's fraction along the view axis.  A lane
+// stops blending when its ray reaches the opacity cutoff, and lanes past
+// `columns` (the ragged tail) never start; the block stops when no lane is
+// left.
+template <vol::Axis kView>
+void march_block(const F4* planes, const Tap* ut, const Tap& v,
+                 const std::vector<F4>& wf, const StepClassifier& classify,
+                 int columns, core::Pixel* out) {
+  F4 uf[kGroups] = {};
+  I4 live[kGroups] = {};
+  for (int g = 0; g < kGroups; ++g) {
+    for (int l = 0; l < kLanes; ++l) {
+      uf[g][l] = ut[g * kLanes + l].f;
+      live[g][l] = g * kLanes + l < columns ? -1 : 0;
+    }
+  }
+  const F4 vf = splat(v.f);
+  const F4 lo = splat(classify.lo()), span = splat(classify.span());
+  // An empty or inverted window classifies everything as entry 0.
+  const U4 window_ok = U4{} + (classify.span() > 0.0f ? ~0u : 0u);
+  const char* table = reinterpret_cast<const char*>(&classify.entry(0));
+  F4 r[kGroups] = {}, gr[kGroups] = {}, b[kGroups] = {}, a[kGroups] = {};
+
+  for (std::size_t s = 0; s < wf.size(); ++s) {
+    const F4* p = planes + s * kPlanes * kGroups;
+    for (int g = 0; g < kGroups; ++g) {
+      // The y and z fractions: the column's (per lane), the row's or the
+      // sample's, by the view.
+      F4 fy, fz;
+      if constexpr (kView == vol::Axis::kX) {
+        fy = uf[g];
+        fz = vf;
+      } else if constexpr (kView == vol::Axis::kY) {
+        fy = wf[s];
+        fz = uf[g];
+      } else {
+        fy = vf;
+        fz = wf[s];
+      }
+      const F4 y0 = p[0 * kGroups + g] + p[1 * kGroups + g] * fy;
+      const F4 y1 = p[2 * kGroups + g] + p[3 * kGroups + g] * fy;
+      const F4 raw = y0 + (y1 - y0) * fz;
+
+      // StepClassifier::operator(), lane by lane: byte offsets of the
+      // entries, one 16-byte load each, and a 4x4 transpose to the r, g,
+      // b and alpha of four rays.
+      const I4 index = __builtin_convertvector(
+          TransferFunction::index_position((raw - lo) / span), I4);
+      const U4 offset = (reinterpret_cast<U4>(index) & window_ok) *
+                        static_cast<std::uint32_t>(sizeof(F4));
+      F4 e[kLanes];
+      for (int l = 0; l < kLanes; ++l) {
+        std::memcpy(&e[l], table + offset[l], sizeof(F4));
+      }
+      const F4 rg01 = __builtin_shuffle(e[0], e[1], I4{0, 4, 1, 5});
+      const F4 rg23 = __builtin_shuffle(e[2], e[3], I4{0, 4, 1, 5});
+      const F4 ba01 = __builtin_shuffle(e[0], e[1], I4{2, 6, 3, 7});
+      const F4 ba23 = __builtin_shuffle(e[2], e[3], I4{2, 6, 3, 7});
+      const F4 er = __builtin_shuffle(rg01, rg23, I4{0, 1, 4, 5});
+      const F4 eg = __builtin_shuffle(rg01, rg23, I4{2, 3, 6, 7});
+      const F4 eb = __builtin_shuffle(ba01, ba23, I4{0, 1, 4, 5});
+      const F4 ea = __builtin_shuffle(ba01, ba23, I4{2, 3, 6, 7});
+
+      // accumulate() where the ray is live and the sample not transparent.
+      // Elsewhere each sum adds +0, which leaves it unchanged: the sums
+      // start at +0 and never become -0.
+      const I4 blend = live[g] & (ea > 0.0f);
+      const F4 w = masked((1.0f - a[g]) * ea, blend);
+      r[g] += masked(w * er, blend);
+      gr[g] += masked(w * eg, blend);
+      b[g] += masked(w * eb, blend);
+      a[g] += w;
+      live[g] &= ~(a[g] >= kOpaqueCutoff);
+    }
+    I4 any_live = live[0];
+    for (int g = 1; g < kGroups; ++g) any_live |= live[g];
+    if (!any(any_live)) break;
+  }
+  for (int i = 0; i < columns; ++i) {
+    const int g = i / kLanes, l = i % kLanes;
+    out[i] = {r[g][l], gr[g][l], b[g][l], a[g][l]};
+  }
+}
+
+// Marches image rows [row_begin, row_end): for each run of rows that share
+// their x-lerps, block by block, stage 1 once and stage 2 per row.
+template <vol::Axis kView>
+void march_rows(const float* d, const StepClassifier& classify,
+                const std::vector<Tap>& ut, const std::vector<Tap>& vt,
+                const std::vector<Tap>& wt, int row_begin,
+                core::ImageRGBA& img) {
+  const int width = img.width();
+  std::vector<F4> wf;
+  for (const Tap& w : wt) wf.push_back(splat(w.f));
+  std::vector<F4> planes(wt.size() * kPlanes * kGroups);
+  for (std::size_t r0 = 0; r0 < vt.size();) {
+    std::size_t r1 = r0 + 1;
+    while (r1 < vt.size() && same_planes<kView>(vt[r0], vt[r1])) ++r1;
+    for (int c0 = 0; c0 < width; c0 += kBlock) {
+      const Tap* block = ut.data() + c0;
+      fill_planes<kView>(d, block, vt[r0], wt, planes.data());
+      for (std::size_t r = r0; r < r1; ++r) {
+        march_block<kView>(planes.data(), block, vt[r], wf, classify,
+                           std::min(kBlock, width - c0),
+                           &img.at(c0, row_begin + static_cast<int>(r)));
+      }
+    }
+    r0 = r1;
   }
 }
 
@@ -151,27 +323,28 @@ core::Status render_brick_rows(const vol::Volume& volume,
         (static_cast<float>(pixel) + 0.5f) / options.resolution_scale;
     return make_tap(c - 0.5f, vd.extent(a), stride(a));
   };
-  std::vector<Tap> ut(static_cast<std::size_t>(img.width()));
+  // Padded to whole blocks; the padding columns read cell 0 and are never
+  // blended or stored.
+  const int blocks = (img.width() + kBlock - 1) / kBlock;
+  std::vector<Tap> ut(static_cast<std::size_t>(blocks * kBlock));
   for (int i = 0; i < img.width(); ++i) {
     ut[static_cast<std::size_t>(i)] = image_tap(i, ua);
   }
+  std::vector<Tap> vt;
+  for (int j = row_begin; j < row_end; ++j) vt.push_back(image_tap(j, va));
 
   const StepClassifier classify(tf, options);
   const float* d = volume.data().data();
-  for (int j = row_begin; j < row_end; ++j) {
-    const Tap v = image_tap(j, va);
-    core::Pixel* row = &img.at(0, j);
-    switch (view_axis) {
-      case vol::Axis::kX:
-        march_row<vol::Axis::kX>(d, classify, ut, v, wt, row);
-        break;
-      case vol::Axis::kY:
-        march_row<vol::Axis::kY>(d, classify, ut, v, wt, row);
-        break;
-      case vol::Axis::kZ:
-        march_row<vol::Axis::kZ>(d, classify, ut, v, wt, row);
-        break;
-    }
+  switch (view_axis) {
+    case vol::Axis::kX:
+      march_rows<vol::Axis::kX>(d, classify, ut, vt, wt, row_begin, img);
+      break;
+    case vol::Axis::kY:
+      march_rows<vol::Axis::kY>(d, classify, ut, vt, wt, row_begin, img);
+      break;
+    case vol::Axis::kZ:
+      march_rows<vol::Axis::kZ>(d, classify, ut, vt, wt, row_begin, img);
+      break;
   }
   return core::Status::ok();
 }

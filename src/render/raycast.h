@@ -18,15 +18,35 @@
 // through a StepClassifier (render/transfer.h): one table per call with
 // the data window and the step correction folded in.
 //
-// The axis-aligned march is hoisted.  Its rays share one direction and one
-// step, so the trilinear taps along the view axis (clamped neighbour
-// offsets and fraction, per sample index) are computed once per call, the
-// taps across it once per image column and once per row, and each sample
-// is left with eight loads, seven lerps, one table lookup and the
-// front-to-back blend.  The taps reproduce Volume::sample's floor/clamp
-// arithmetic and the lerps keep its order, so every image is bit-identical
-// to a march that calls Volume::sample and TransferFunction::classify per
-// sample (tests/render_golden_test.cpp pins this).
+// The axis-aligned march is one kernel for all three view axes, in two
+// stages.  Its rays share one direction and one step, so the trilinear
+// taps (clamped neighbour offsets and fraction) are computed once per
+// call along the view axis, per image column and per image row.
+//
+//  * Corner planes.  Volume::sample lerps along x first, and its four
+//    x-lerps depend on the x taps and on the y and z cell indices, not on
+//    the y and z fractions.  Stage 1 computes them once for a run of rows
+//    that share them -- the rows of one cell row in the Z and X views, one
+//    row in the Y view, where the row is x -- into [sample][column] planes
+//    (c00, c10 - c00, c01, c11 - c01).  Columns of one cell share them too
+//    where the column is y or z (X and Y views) and copy them.
+//  * Lane groups.  Stage 2 marches the columns in blocks of two groups of
+//    four rays, one ray per lane of a 16-byte GCC vector (SSE2 on x86-64;
+//    no intrinsics).  Per sample it does the last three lerps, the
+//    StepClassifier index (TransferFunction::index_position, lane-wise),
+//    one 16-byte load of each lane's table entry and a 4x4 transpose, and
+//    the front-to-back blend.
+//  * Masks.  The blend's "alpha > 0" test, the 0.995 opacity cutoff and
+//    the ragged last block (lanes past the image width) are per-lane
+//    masks; a masked lane adds +0 to its sums, which leaves them as they
+//    are.  A block stops when none of its lanes is live.
+//
+// Every lane runs the scalar IEEE operations in Volume::sample's order
+// (the build sets -ffp-contract=off so no target fuses them into FMAs),
+// so every image is bit-identical to a march that calls Volume::sample and
+// TransferFunction::classify per sample (tests/render_golden_test.cpp pins
+// this, including rays that stop at different samples, ragged widths and
+// row bands that start inside a cell row).
 #pragma once
 
 #include <cmath>

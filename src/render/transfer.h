@@ -6,9 +6,7 @@
 // images converge as the sampling rate changes.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -34,9 +32,19 @@ class TransferFunction {
   // entry.  A NaN (a corrupt float off the wire, or a NaN data window)
   // classifies as entry 0, the transparent end of every preset.
   static int index_of(float value) {
-    if (std::isnan(value)) return 0;
-    const float v = std::clamp(value, 0.0f, 1.0f);
-    return static_cast<int>(v * (kTableSize - 1) + 0.5f);
+    return static_cast<int>(index_position(value));
+  }
+
+  // index_of before its truncation toward zero.  Written once for a float
+  // and for a GCC vector of floats, whose comparisons and selects act lane
+  // by lane, so the vectorised ray march classifies by the same rule.
+  template <class F>
+  static F index_position(F v) {
+    const F zero{};
+    const F one = zero + 1.0f;
+    v = v > zero ? v : zero;  // also NaN -> 0
+    v = v < one ? v : one;
+    return v * static_cast<float>(kTableSize - 1) + 0.5f;
   }
 
   // Classify a normalised value: straight (non-premultiplied) colour plus
@@ -80,6 +88,15 @@ class StepClassifier {
     // An empty or inverted window normalises everything to 0.
     const int i =
         span_ <= 0.0f ? 0 : TransferFunction::index_of((raw - lo_) / span_);
+    return entry(i);
+  }
+
+  // The pieces of operator(), for a march that classifies several rays at
+  // once: the data window (value_lo, value_hi - value_lo) and entry i, for
+  // i in [0, TransferFunction::kTableSize).
+  float lo() const { return lo_; }
+  float span() const { return span_; }
+  const Entry& entry(int i) const {
     return table_[static_cast<std::size_t>(i)];
   }
 

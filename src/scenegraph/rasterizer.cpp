@@ -210,8 +210,8 @@ core::ImageRGBA Rasterizer::render_node(const GroupNode& root) const {
         const float w0 = e0 / area;
         const float w1 = e1 / area;
         const float w2 = e2 / area;
-        const float u = w0 * prim.a.u + w1 * prim.b.u + w2 * prim.c.u;
-        const float v = w0 * prim.a.v + w1 * prim.b.v + w2 * prim.c.v;
+        const float u = w0 * va.u + w1 * vb.u + w2 * vc.u;
+        const float v = w0 * va.v + w1 * vb.v + w2 * vc.v;
         const core::Pixel texel = prim.texture->sample_bilinear(u, v);
         if (texel.a <= 0.0f && texel.r <= 0.0f && texel.g <= 0.0f &&
             texel.b <= 0.0f) {

@@ -144,6 +144,95 @@ INSTANTIATE_TEST_SUITE_P(
         BrickCase{Gen::kCosmology, vol::Axis::kZ, true, 0x651f5a322d0e69f9ull}),
     brick_case_name);
 
+// A steep transfer function makes most rays opaque within a few samples, so
+// neighbouring rays cross the 0.995 cutoff at different samples: early
+// termination has to be decided per ray.
+TransferFunction steep_tf() {
+  return TransferFunction({{0, 0, 0, 0, 0}, {1, 1, 1, 1, 50}});
+}
+
+class SteepGolden : public ::testing::TestWithParam<BrickCase> {};
+
+TEST_P(SteepGolden, MatchesPinnedHash) {
+  const BrickCase c = GetParam();
+  const vol::Volume v = golden_volume(c.gen);
+  const vol::Brick brick = c.slab ? middle_slab(v, c.axis) : full_brick(v);
+  const TransferFunction tf = steep_tf();
+  Golden h;
+  int opaque = 0, translucent = 0;
+  for (float step : kSteps) {
+    for (float scale : {1.0f, 5.0f}) {
+      for (const Window& w : kWindows) {
+        RenderOptions o;
+        o.step = step;
+        o.resolution_scale = scale;
+        o.value_lo = w.lo;
+        o.value_hi = w.hi;
+        auto img = render_brick_along_axis(v, brick, c.axis, tf, o);
+        ASSERT_TRUE(img.is_ok());
+        h.add(img.value());
+        for (const core::Pixel& p : img.value().pixels()) {
+          (p.a >= 0.995f ? opaque : translucent)++;
+        }
+      }
+    }
+  }
+  // Both kinds of ray occur, so the cutoff really splits the images.
+  EXPECT_GT(opaque, 0);
+  EXPECT_GT(translucent, 0);
+  EXPECT_EQ(hex(h.value()), hex(c.expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, SteepGolden,
+    ::testing::Values(
+        BrickCase{Gen::kCombustion, vol::Axis::kX, false, 0xf06dc968a97d1555ull},
+        BrickCase{Gen::kCombustion, vol::Axis::kX, true, 0xf74ca568c69e43cdull},
+        BrickCase{Gen::kCombustion, vol::Axis::kY, false, 0x65f5e1d405c605b2ull},
+        BrickCase{Gen::kCombustion, vol::Axis::kY, true, 0x930faa086183f06bull},
+        BrickCase{Gen::kCombustion, vol::Axis::kZ, false, 0xaddf1ee4f8645bddull},
+        BrickCase{Gen::kCombustion, vol::Axis::kZ, true, 0xb0a7d72c21978b13ull}),
+    brick_case_name);
+
+// Scales whose image widths leave every remainder 1-7 modulo 8 columns
+// somewhere across the two volumes and three axes (scales 1 and 5 above
+// leave the rest), so a kernel that steps through columns in blocks sees
+// every ragged tail.
+class RaggedGolden : public ::testing::TestWithParam<BrickCase> {};
+
+TEST_P(RaggedGolden, MatchesPinnedHash) {
+  const BrickCase c = GetParam();
+  const vol::Volume v = golden_volume(c.gen);
+  const vol::Brick brick = c.slab ? middle_slab(v, c.axis) : full_brick(v);
+  const TransferFunction tfs[] = {TransferFunction::fire(),
+                                  TransferFunction::density(), steep_tf()};
+  Golden h;
+  for (float step : {0.5f, 0.37f}) {
+    for (float scale : {1.3f, 2.2f}) {
+      for (const TransferFunction& tf : tfs) {
+        RenderOptions o;
+        o.step = step;
+        o.resolution_scale = scale;
+        auto img = render_brick_along_axis(v, brick, c.axis, tf, o);
+        ASSERT_TRUE(img.is_ok());
+        h.add(img.value());
+      }
+    }
+  }
+  EXPECT_EQ(hex(h.value()), hex(c.expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, RaggedGolden,
+    ::testing::Values(
+        BrickCase{Gen::kCombustion, vol::Axis::kX, true, 0x69f5390dbf2405f0ull},
+        BrickCase{Gen::kCombustion, vol::Axis::kY, true, 0x7e4310e687f63ab5ull},
+        BrickCase{Gen::kCombustion, vol::Axis::kZ, true, 0x7c76349af0b3d10dull},
+        BrickCase{Gen::kCosmology, vol::Axis::kX, true, 0xb2dd5d7c192faa35ull},
+        BrickCase{Gen::kCosmology, vol::Axis::kY, true, 0x5d17e7da3dda45f2ull},
+        BrickCase{Gen::kCosmology, vol::Axis::kZ, true, 0x7ea12d33ef7322f9ull}),
+    brick_case_name);
+
 // ---- render_volume_rotated and ibravr::compute_offset_map -----------------
 
 struct AxisCase {
@@ -258,6 +347,32 @@ TEST_P(RowBands, ThreeUnevenBandsEqualWholeImage) {
   const int cuts[] = {0, 1, height / 2 + 1, height};
   // Render the bands out of order: each must depend only on its own rows.
   for (int b : {2, 0, 1}) {
+    ASSERT_TRUE(render_brick_rows(v, slab, axis, tf, o, cuts[b], cuts[b + 1],
+                                  banded)
+                    .is_ok());
+  }
+  EXPECT_TRUE(banded.pixels() == whole.value().pixels());
+}
+
+// At scale 5 a cell row spans five image rows (rows 2-6 sample cell row 0,
+// rows 7-11 cell row 1, ...).  Bands that start and end inside cell rows
+// must still reproduce the whole-image render exactly.
+TEST_P(RowBands, BandsStartingMidCellRowEqualWholeImage) {
+  const vol::Axis axis = GetParam();
+  const vol::Volume v = golden_volume(Gen::kCombustion);
+  const vol::Brick slab = middle_slab(v, axis);
+  const TransferFunction tf = TransferFunction::fire();
+  RenderOptions o;
+  o.step = 0.5f;
+  o.resolution_scale = 5.0f;
+  auto whole = render_brick_along_axis(v, slab, axis, tf, o);
+  ASSERT_TRUE(whole.is_ok());
+  const int height = whole.value().height();
+  ASSERT_GE(height, 15);
+
+  core::ImageRGBA banded(whole.value().width(), height);
+  const int cuts[] = {0, 4, 9, 10, 14, height};
+  for (int b : {3, 1, 4, 0, 2}) {
     ASSERT_TRUE(render_brick_rows(v, slab, axis, tf, o, cuts[b], cuts[b + 1],
                                   banded)
                     .is_ok());

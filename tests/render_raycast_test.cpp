@@ -234,5 +234,28 @@ TEST(Raycast, NanWindowRendersTransparent) {
   for (const auto& p : img.value().pixels()) EXPECT_EQ(p.a, 0.0f);
 }
 
+// A sample that classifies to alpha 0 adds nothing, whatever the colour of
+// its entry: NaN colours on the transparent half of a transfer function
+// must not reach the image (NaN * 0 is NaN).
+TEST(Raycast, TransparentEntriesAddNothing) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const TransferFunction poisoned({{0.0f, nan, nan, nan, 0.0f},
+                                   {0.5f, 0, 0, 0, 0.0f},
+                                   {1.0f, 1, 1, 1, 1.0f}});
+  const TransferFunction clean({{0.0f, 0, 0, 0, 0.0f},
+                                {0.5f, 0, 0, 0, 0.0f},
+                                {1.0f, 1, 1, 1, 1.0f}});
+  const vol::Volume v = vol::generate_combustion({9, 7, 6}, 3);
+  RenderOptions o;
+  o.resolution_scale = 2.0f;
+  for (vol::Axis axis : {vol::Axis::kX, vol::Axis::kY, vol::Axis::kZ}) {
+    auto img = render_brick_along_axis(v, full_brick(v), axis, poisoned, o);
+    auto ref = render_brick_along_axis(v, full_brick(v), axis, clean, o);
+    ASSERT_TRUE(img.is_ok() && ref.is_ok());
+    EXPECT_TRUE(img.value().pixels() == ref.value().pixels())
+        << vol::axis_name(axis);
+  }
+}
+
 }  // namespace
 }  // namespace visapult::render

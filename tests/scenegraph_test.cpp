@@ -235,6 +235,42 @@ TEST(Rasterizer, QuadMeshRendersLikeFlatQuadWhenOffsetsZero) {
   EXPECT_LT(core::ImageRGBA::mean_abs_diff(a, b), 0.01);
 }
 
+// A quad mirrored in x is clockwise on screen; the rasterizer reorders each
+// of its triangles to counter-clockwise, and the texture coordinates must
+// follow their vertices.  With corners on whole pixels, a 16x16 footprint
+// and an 8x8 texture of 0/1 colours every weight and texel lerp is exact,
+// so the mirrored quad renders as the exact pixel mirror of the original.
+TEST(Rasterizer, MirroredQuadIsPixelMirror) {
+  // Two colours, laid out so that no transpose or diagonal shear of the
+  // texture maps it onto itself or its mirror.
+  core::ImageRGBA tex(8, 8);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      const bool red = x < 3 || (y == 0 && x < 6);
+      tex.at(x, y) = red ? core::Pixel{1, 0, 0, 1} : core::Pixel{0, 0, 1, 1};
+    }
+  }
+  auto render_quad = [&](float left, float right) {
+    GroupNode root("root");
+    auto quad = std::make_shared<TexQuadNode>(
+        "q", std::array<Vec3f, 4>{Vec3f{left, 8, 0}, Vec3f{right, 8, 0},
+                                  Vec3f{right, 24, 0}, Vec3f{left, 24, 0}});
+    quad->set_texture(tex);
+    root.add_child(quad);
+    return Rasterizer(face_on_camera()).render_node(root);
+  };
+  const auto plain = render_quad(8, 24);
+  const auto mirrored = render_quad(24, 8);  // x -> 32 - x
+  ASSERT_GT(plain.at(10, 16).a, 0.0f);
+  int differing = 0;
+  for (int y = 0; y < 32; ++y) {
+    for (int x = 0; x < 32; ++x) {
+      if (mirrored.at(x, y) != plain.at(31 - x, y)) ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0);
+}
+
 TEST(Rasterizer, EmptyTextureQuadIsSkipped) {
   GroupNode root("root");
   root.add_child(std::make_shared<TexQuadNode>(
