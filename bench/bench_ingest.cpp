@@ -1,18 +1,18 @@
-// Ingest-pipeline bench: overwrite throughput of server-driven chain
+// Ingest-pipeline bench: overwrite throughput of server-driven
 // replication at rf 1/2/3, and replicated vs EC(4,2) parity-delta
 // overwrites.
 //
 // Six pipe-transport servers host a synthetic combustion series.  For
 // each replication factor we ingest, open a file, and overwrite the whole
 // dataset twice, timing the second: one copy per block goes to its
-// primary and the chain moves the rest server-to-server.  The EC section
+// primary, which copies it server-to-server to each follower.  The EC section
 // overwrites a (4,2) dataset through parity-delta writes (client ships
 // each block once; m GF deltas move server-to-server) and reports the
 // parity-delta kernel ops.
 //
 // A final section sweeps concurrent writer connections against a real TCP
 // deployment, reactor front door vs the thread-per-connection baseline:
-// each writer chain-replicates its own slice, and the aggregate write
+// each writer replicates its own slice, and the aggregate write
 // throughput per connection count shows where each front door knees over.
 //
 // The last stdout line is a single machine-readable JSON object (the
@@ -25,7 +25,7 @@
 //    "sweep_reactor_w<N>_p95_ms":...,"sweep_reactor_w<N>_p99_ms":...,
 //    "sweep_threads_w<N>_mbps":... (same p50/p95/p99 trio)}
 // Per-write latency percentiles come from an obs::Histogram shared by the
-// driver threads -- mean throughput alone hides the chain's tail.
+// driver threads -- mean throughput alone hides the replication tail.
 #include <atomic>
 #include <chrono>
 #include <cstdio>

@@ -22,7 +22,7 @@
 // reconstruction (with the reconstruction-read counters).
 //
 // The `ingest` subcommand exercises the server-driven write pipeline: it
-// prints the replication topology (primary + chain per placement group),
+// prints the replication topology (primary + followers per placement group),
 // overwrites the dataset under each ack policy showing the generation
 // counters and the fixup-queue depth before and after a master tick, then
 // overwrites an EC(4,2) dataset through parity-delta writes and reports
@@ -464,22 +464,23 @@ int run_ingest_report(int servers, int rf) {
     return 1;
   }
 
-  // Replication topology: the chain each group's writes travel.
-  core::TableWriter topo({"group", "blocks", "primary", "chain"});
+  // Replication topology: the primary each group's writes land on and the
+  // followers it copies them to.
+  core::TableWriter topo({"group", "blocks", "primary", "followers"});
   const std::uint64_t sample =
       std::min<std::uint64_t>(map->group_count(), 6);
   for (std::uint64_t g = 0; g < sample; ++g) {
     auto plan = ingest::plan_chain(map->replicas_for_group(g), {}, {});
-    std::string chain;
+    std::string followers;
     for (std::uint32_t s : plan.followers) {
-      if (!chain.empty()) chain += " -> ";
-      chain += std::to_string(s);
+      if (!followers.empty()) followers += ", ";
+      followers += std::to_string(s);
     }
     topo.add_row({std::to_string(g),
                   std::to_string(map->group_first_block(g)) + ".." +
                       std::to_string(map->group_last_block(g) - 1),
                   std::to_string(plan.primary),
-                  chain.empty() ? "(none)" : chain});
+                  followers.empty() ? "(none)" : followers});
   }
   std::printf("Replication topology (%llu groups, first %llu shown):\n%s\n",
               static_cast<unsigned long long>(map->group_count()),
@@ -528,7 +529,7 @@ int run_ingest_report(int servers, int rf) {
     prev_degraded = degraded;
   }
   std::printf(
-      "Overwrites through the chain pipeline (fixups drain on tick):\n%s\n",
+      "Overwrites through the write pipeline (fixups drain on tick):\n%s\n",
       writes.to_string().c_str());
 
   // EC(4,2) parity-delta overwrite with read-back verification.
@@ -1395,7 +1396,7 @@ int usage(std::FILE* out) {
       "replica health table\n"
       "  ec [servers] [k] [m]                 erasure coding: degraded "
       "reads through reconstruction\n"
-      "  ingest [servers] [rf]                chain replication + "
+      "  ingest [servers] [rf]                primary-copy replication + "
       "parity-delta write pipeline\n"
       "  net [servers] [clients]              reactor event loops + front "
       "door counters\n"

@@ -5,7 +5,7 @@
 
 namespace visapult::core {
 
-ThreadPool::ThreadPool(int num_threads, bool elastic) : elastic_(elastic) {
+ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -46,14 +46,6 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
     queue_.push_back(std::move(entry));
     ++submitted_;
     queue_peak_ = std::max(queue_peak_, queue_.size());
-    // Elastic growth: with every worker busy (possibly blocked on work
-    // this very queue feeds), a queued task could wait forever.  Give it
-    // its own worker instead of gambling on one freeing up.  A parked
-    // worker already woken for an earlier task is not free for this one,
-    // so compare against the whole queue, not just zero.
-    if (elastic_ && queue_.size() > idle_ && !stopping_) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
   }
   cv_.notify_one();
   return fut;
@@ -90,9 +82,7 @@ void ThreadPool::worker_loop() {
     double picked_at;
     {
       std::unique_lock lk(mu_);
-      ++idle_;
       cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-      --idle_;
       if (stopping_ && queue_.empty()) return;
       entry = std::move(queue_.front());
       queue_.pop_front();

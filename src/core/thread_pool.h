@@ -44,14 +44,7 @@ struct ThreadPoolStats {
 
 class ThreadPool {
  public:
-  // elastic=true lets the pool grow past num_threads: submit() spawns an
-  // extra worker whenever no worker is idle.  Use this for pools whose
-  // tasks may BLOCK on work serviced by the same pool family (e.g. the
-  // deployment peer doors, where a chain forward waits on the next hop's
-  // reply) -- a bounded pool there is a hold-and-wait deadlock waiting to
-  // happen.  Grown workers persist until destruction, so the thread count
-  // high-water-marks at peak concurrency.
-  explicit ThreadPool(int num_threads, bool elastic = false);
+  explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -97,8 +90,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<Entry> queue_;
   bool stopping_ = false;
-  bool elastic_ = false;
-  std::size_t idle_ = 0;  // workers parked in cv_.wait
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::size_t queue_peak_ = 0;

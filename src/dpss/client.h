@@ -31,14 +31,16 @@
 // reported to the master exactly as replica failover reports it.
 //
 // Writes go through the server-driven ingest pipeline, the only write
-// protocol: each block is sent ONCE, to its primary, which
-// chain-replicates it down the remaining replicas (or, erasure-coded,
-// ships GF parity deltas to the parity owners; a classic stripe is a
-// chain of one) under the file's ack policy.  The reply's generation
-// stamp keys the read-ahead tier and arms stale-read detection: a replica
-// that answers with a generation older than one this file saw acknowledged
-// is skipped and the block retried elsewhere.  Replicas the policy (or a
-// mid-chain death) left behind are reported to the master's fixup queue.
+// protocol: each block is sent ONCE, to its primary, which copies it to
+// each remaining replica itself (or, erasure-coded, ships GF parity deltas
+// to the parity owners; a classic stripe has no followers) under the
+// file's ack policy.  The data crosses the client's uplink once; the
+// copies move between block servers.  The reply's generation stamp keys
+// the read-ahead tier and arms stale-read detection: a replica that
+// answers with a generation older than one this file saw acknowledged is
+// skipped and the block retried elsewhere.  Replicas the policy (or their
+// own death) left behind are reported to the master's fixup queue, each
+// on its own.
 //
 // Sharded metadata (PR 9): enable_sharded_meta() routes each open to the
 // master shard owning the dataset's hash, failing over across the shard's
@@ -85,7 +87,7 @@ namespace visapult::dpss {
 using FailureReporter = std::function<void(const FailureReport&)>;
 
 // Invoked when a write left a replica / parity owner behind (relaxed ack
-// policy or mid-chain death); wired to a kFixupReport on the master
+// policy or an unreachable follower); wired to a kFixupReport on the master
 // connection, feeding the master's background fixup queue.
 using FixupReporter = std::function<void(const FixupReport&)>;
 
@@ -286,10 +288,10 @@ class DpssFile {
   // dpssWrite(): striped write-through at the current offset (ingest path).
   // Writes must be block-aligned and whole-block except the final block.
   // Each block travels ONCE, to its primary, which replicates it
-  // server-side (chain for replicas, parity deltas for EC, nothing more
-  // for a classic stripe) under the file's ack policy.  A primary that
-  // dies or mislabels its ack is marked dead and the block re-planned onto
-  // the next live replica.
+  // server-side (a copy to each follower for replicas, parity deltas for
+  // EC, nothing more for a classic stripe) under the file's ack policy.  A
+  // primary that dies or mislabels its ack is marked dead and the block
+  // re-planned onto the next live replica.
   core::Status write(const std::uint8_t* buf, std::size_t len);
 
   // Durable-copy policy for writes (default: every replica / parity owner

@@ -1,7 +1,6 @@
 #include "dpss/deployment.h"
 
 #include <cstring>
-#include <map>
 
 #include "codec/reed_solomon.h"
 #include "codec/stripe_layout.h"
@@ -85,19 +84,18 @@ void collect_front_stats(const std::string& prefix,
 // (utilization).  The wait/run histograms are registered instruments fed
 // by the pool's TaskObserver, so they expand to quantiles on their own.
 void collect_pool_stats(const core::ThreadPoolStats& s,
-                        std::vector<obs::Sample>& out,
-                        const std::string& prefix = "dpss_util_pool") {
-  out.push_back({prefix + "_queue_depth", "",
+                        std::vector<obs::Sample>& out) {
+  out.push_back({"dpss_util_pool_queue_depth", "",
                  static_cast<double>(s.queue_depth)});
-  out.push_back({prefix + "_queue_peak", "",
+  out.push_back({"dpss_util_pool_queue_peak", "",
                  static_cast<double>(s.queue_peak)});
-  out.push_back({prefix + "_threads", "",
+  out.push_back({"dpss_util_pool_threads", "",
                  static_cast<double>(s.threads)});
-  out.push_back({prefix + "_tasks_submitted_total", "",
+  out.push_back({"dpss_util_pool_tasks_submitted_total", "",
                  static_cast<double>(s.submitted)});
-  out.push_back({prefix + "_tasks_completed_total", "",
+  out.push_back({"dpss_util_pool_tasks_completed_total", "",
                  static_cast<double>(s.completed)});
-  out.push_back({prefix + "_saturation", "", s.saturation()});
+  out.push_back({"dpss_util_pool_saturation", "", s.saturation()});
 }
 
 }  // namespace
@@ -834,25 +832,16 @@ core::Status TcpDeployment::start() {
     return st;
   }
 
-  // Chain forwarding and parity deltas travel plain loopback TCP, exactly
-  // like client traffic -- including the connect deadline, so a hop into a
-  // dead peer fails over instead of hanging the chain.  In reactor mode
-  // peers dial the target's dedicated peer door (the chain carries public
-  // addresses, so the connector rewrites them here).
+  // Follower copies and parity deltas travel plain loopback TCP, exactly
+  // like client traffic -- including the connect deadline, so a copy to a
+  // dead peer fails over instead of hanging the write.  In reactor mode
+  // they enter through the peer's one front door, whose loop answers them
+  // (BlockServer::handle_on_loop).
   const net::ConnectOptions copts = connect_options();
-  std::map<std::string, ServerAddress> peer_doors;
-  for (std::size_t i = 0; i < peer_fronts_.size(); ++i) {
-    peer_doors[addresses_[i].key()] =
-        ServerAddress{"127.0.0.1", peer_fronts_[i]->port()};
-  }
   for (auto& server : servers_) {
     server->set_peer_connector(
-        [copts,
-         peer_doors](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
-          const auto it = peer_doors.find(addr.key());
-          const ServerAddress& target =
-              it == peer_doors.end() ? addr : it->second;
-          return net::TcpStream::connect(target.host, target.port, copts);
+        [copts](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
+          return net::TcpStream::connect(addr.host, addr.port, copts);
         });
   }
   return core::Status::ok();
@@ -881,12 +870,14 @@ core::Status TcpDeployment::open_reactor_fronts() {
   if (auto st = master_front_->listen(0); !st.is_ok()) return st;
 
   for (auto& server : servers_) {
-    // A block read whose block is resident in the memory tier is answered
-    // on the connection's loop (BlockServer::handle_resident_read).  Every
-    // other request may sleep on the modelled disks or forward down a
-    // replica chain, so each server offloads it to its own worker pool;
-    // per-server pools keep a forwarded hop from starving the downstream
-    // server's inbound capacity.
+    // What cannot block -- a read resident in the memory tier, a write or
+    // parity delta that reaches no peer -- is answered on the connection's
+    // loop (BlockServer::handle_on_loop).  Every other request may sleep
+    // on the modelled disks or copy a block to its followers, so each
+    // server offloads it to its own worker pool.  A worker waiting on a
+    // peer waits on that peer's loop, never on a worker, so a pool of any
+    // size cannot deadlock.  (A peer link carries one request at a time,
+    // so its replies never back up and the loop never steps aside for it.)
     worker_pools_.push_back(std::make_unique<core::ThreadPool>(
         std::max(1, options_.worker_threads)));
     BlockServer* srv = server.get();
@@ -910,7 +901,7 @@ core::Status TcpDeployment::open_reactor_fronts() {
         },
         ropts, pool);
     front->set_loop_handler([srv](net::Message& msg, std::uint64_t conn_id) {
-      return srv->handle_resident_read(msg, conn_id);
+      return srv->handle_on_loop(msg, conn_id);
     });
     front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
     if (auto st = front->listen(0); !st.is_ok()) return st;
@@ -918,36 +909,16 @@ core::Status TcpDeployment::open_reactor_fronts() {
       std::lock_guard lk(state_mu_);
       addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});
     }
-    // Second door for server-to-server traffic, on an ELASTIC pool:
-    // client writes saturating the main pool must never starve an
-    // incoming chain forward, and a forward blocked on the next hop must
-    // never starve that hop's own forward (see the peer_fronts_ comment
-    // in the header).  Elasticity is what makes the argument hold at
-    // every chain depth: a peer task always gets a worker, so blocking
-    // chains bottom out at the terminal hop instead of deadlocking on
-    // pool capacity.
-    peer_pools_.push_back(std::make_unique<core::ThreadPool>(
-        std::max(1, options_.worker_threads), /*elastic=*/true));
-    core::ThreadPool* peer_pool = peer_pools_.back().get();
-    auto peer_front = std::make_unique<net::ReactorServer>(
-        *reactors_,
-        [srv](net::Message&& msg, std::uint64_t conn_id) {
-          return srv->handle_request(std::move(msg), conn_id);
-        },
-        ropts, peer_pool);
-    if (auto st = peer_front->listen(0); !st.is_ok()) return st;
     // Surface this server's front-door transport counters and worker
     // pool USE gauges through its own kStats registry (removed in stop()
     // before the front and pool die).
     net::ReactorServer* front_raw = front.get();
     server_collectors_.push_back(srv->metrics_registry().add_collector(
-        [front_raw, pool, peer_pool](std::vector<obs::Sample>& out) {
+        [front_raw, pool](std::vector<obs::Sample>& out) {
           collect_front_stats("dpss_server_net", front_raw->stats(), out);
           collect_pool_stats(pool->stats(), out);
-          collect_pool_stats(peer_pool->stats(), out, "dpss_util_peer_pool");
         }));
     server_fronts_.push_back(std::move(front));
-    peer_fronts_.push_back(std::move(peer_front));
   }
 
   // The master's exposition additionally carries the shared reactor
@@ -1042,12 +1013,9 @@ void TcpDeployment::stop() {
   // and master the handlers capture outlive every dispatch.
   if (master_front_) master_front_->close();
   for (auto& f : server_fronts_) f->close();
-  for (auto& f : peer_fronts_) f->close();
   master_front_.reset();
   server_fronts_.clear();
-  peer_fronts_.clear();
   worker_pools_.clear();
-  peer_pools_.clear();
   reactors_.reset();
   // Thread-per-connection mode: closing a listener wakes its accept loop.
   if (master_listener_) master_listener_->close();
@@ -1069,7 +1037,6 @@ void TcpDeployment::stop() {
 void TcpDeployment::close_door(int i) {
   const auto at = static_cast<std::size_t>(i);
   if (at < server_fronts_.size()) server_fronts_[at]->close();
-  if (at < peer_fronts_.size()) peer_fronts_[at]->close();
   if (at < server_listeners_.size()) server_listeners_[at]->close();
 }
 

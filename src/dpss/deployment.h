@@ -186,9 +186,9 @@ class PipeDeployment : public Deployment {
  private:
   // The killed flag is a pipe server's door: connector() refuses it.
   void close_door(int) override {}
-  // How clients and servers (chain forwarding, parity deltas) reach a
-  // server: a fresh pipe, through the liveness gate, so a hop into a
-  // killed server fails like a client connect would.
+  // How clients and servers (follower copies, parity deltas) reach a
+  // server: a fresh pipe, through the liveness gate, so a copy to a killed
+  // server fails like a client connect would.
   Connector connector();
 
   DiskModel disk_;
@@ -210,11 +210,13 @@ struct TcpDeploymentOptions {
   ServeMode serve_mode = ServeMode::kReactor;
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
-  // Handler offload threads per block server (reactor mode).  Only block
-  // reads already resident in the memory tier are answered on the event
-  // loops; every other block-server request may block (modelled disk
-  // sleeps, chain forwarding to peers) and runs here.  Per-server pools
-  // keep an A->B forward from competing with B's own inbound work.
+  // Handler offload threads per block server (reactor mode).  Block reads
+  // resident in the memory tier, and writes and parity deltas that reach
+  // no peer, are answered on the event loops; every other block-server
+  // request may block (modelled disk sleeps, a primary copying a block to
+  // its followers) and runs here.  A worker waiting on a peer waits on the
+  // peer's event loop, never on a worker, so any size >= 1 is
+  // deadlock-free.
   int worker_threads = 4;
   // Outbound connects (clients and server-to-server peer links) fail with
   // kDeadlineExceeded after this long instead of hanging on a dead or
@@ -277,22 +279,14 @@ class TcpDeployment : public Deployment {
   std::vector<std::unique_ptr<net::TcpListener>> server_listeners_;
   std::vector<std::thread> accept_threads_;
   // Reactor mode.  Declaration order is teardown order in reverse: the
-  // pool and worker pools must outlive the servers built on them.
+  // pool and worker pools must outlive the servers built on them.  One
+  // door per server takes clients and peers alike: the requests peers send
+  // each other never wait on a third server, so the door's loop answers
+  // them and they never queue behind a worker blocked on a peer.
   std::unique_ptr<net::ReactorPool> reactors_;
   std::vector<std::unique_ptr<core::ThreadPool>> worker_pools_;
   std::unique_ptr<net::ReactorServer> master_front_;
   std::vector<std::unique_ptr<net::ReactorServer>> server_fronts_;
-  // Dedicated peer doors (reactor mode): chain forwards and parity deltas
-  // from other servers land here on their own pools.  With a single shared
-  // pool per server, concurrent client writes can park every worker on a
-  // blocking peer exchange -- A's workers wait on B's replies while B's
-  // workers wait on A's, and the forwards that would unblock them sit
-  // queued behind the blocked workers forever.  Splitting the doors makes
-  // the wait graph acyclic: a forwarded hop always carries a strictly
-  // shorter chain tail, so peer-pool workers bottom out at a hop that
-  // completes locally.
-  std::vector<std::unique_ptr<core::ThreadPool>> peer_pools_;
-  std::vector<std::unique_ptr<net::ReactorServer>> peer_fronts_;
   bool started_ = false;
   // Collector handles registered into the master's / servers' metrics
   // registries at start() (reactor-pool and front-door stats); removed in

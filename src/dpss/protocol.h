@@ -56,10 +56,10 @@ enum MessageType : std::uint32_t {
   kHeartbeatReply,
   kFailureReport,
   kFailureReportReply,
-  // Ingest pipeline (PR 5): server-driven mutations.  An ingest write goes
-  // to the block's *primary*, which pipelines it down the replica chain
-  // (server-to-server) and ships GF parity deltas to EC parity owners; the
-  // fixup report tells the master which targets missed the generation.
+  // Ingest pipeline: server-driven mutations.  An ingest write goes to the
+  // block's *primary*, which copies it to each follower (server-to-server)
+  // and ships GF parity deltas to EC parity owners; the fixup report tells
+  // the master which targets missed the generation.
   kIngestWriteRequest,
   kIngestWriteReply,
   kParityDeltaRequest,
@@ -192,19 +192,20 @@ struct BlockReadReply {
 
 // ---- ingest pipeline (server-driven mutations) -------------------------------
 
-// A chain-replicated (or parity-delta) write, sent by the client to the
-// block's primary and forwarded by each chain member to the next.
+// A replicated (or parity-delta) write, sent by the client to the block's
+// primary, which copies it to each follower in `chain`.
 struct IngestWriteRequest {
   std::string dataset;
   std::uint64_t block = 0;
   // 0 on the client->primary hop: the primary allocates current + 1 and
-  // every forwarded hop carries the allocated stamp, so all replicas agree.
+  // every follower copy carries the allocated stamp, so all replicas agree.
   std::uint64_t generation = 0;
   ingest::AckPolicy ack_policy = ingest::AckPolicy::kAll;
   std::vector<std::uint8_t> data;
-  // Remaining replica chain after the receiving server (addresses, in ring
-  // order).  The receiver applies locally, then forwards to chain[0] with
-  // the tail.
+  // The followers after the receiving server (addresses, in ring order).
+  // The receiver applies locally, then sends each follower a copy whose
+  // chain and deltas are empty; a follower that fails is missed on its
+  // own.
   std::vector<ServerAddress> chain;
   // EC overwrites: parity owners to ship the GF delta to.  The receiving
   // server computes delta = new ^ old and sends each target a
@@ -222,9 +223,8 @@ struct IngestWriteReply {
   std::uint64_t block = 0;
   std::uint64_t generation = 0;  // the stamp the write landed under
   std::uint32_t acks = 0;        // servers that durably applied it
-  // Chain members / parity owners that did NOT apply (policy-truncated or
-  // failed mid-pipeline); the client reports each to the master's fixup
-  // queue.
+  // Followers / parity owners that did NOT apply (policy-truncated or
+  // unreachable); the client reports each to the master's fixup queue.
   std::vector<ServerAddress> missed;
 };
 
@@ -399,7 +399,7 @@ core::Result<std::string> decode_profile_reply(const net::Message& m);
 
 // Opens a transport to a server address.  Pipe deployments and TCP
 // deployments provide different connectors; the client library and the
-// block servers' chain-forwarding hops are both agnostic.
+// block servers' follower copies and parity deltas are both agnostic.
 using Connector =
     std::function<core::Result<net::StreamPtr>(const ServerAddress&)>;
 

@@ -356,21 +356,20 @@ void BlockServer::prefetch_fill(const std::string& dataset,
 }
 
 std::shared_ptr<BlockServer::PeerLink> BlockServer::peer_link(
-    const ServerAddress& addr, std::size_t lane) {
+    const ServerAddress& addr) {
   std::lock_guard lk(peer_mu_);
-  auto& slot = peers_[addr.key() + "#" + std::to_string(lane)];
+  auto& slot = peers_[addr.key()];
   if (!slot) slot = std::make_shared<PeerLink>();
   return slot;
 }
 
 core::Result<net::Message> BlockServer::peer_exchange(
-    const ServerAddress& addr, const net::Message& request,
-    std::size_t lane) {
+    const ServerAddress& addr, const net::Message& request) {
   if (!peer_connector_) {
     return core::failed_precondition("server " + name_ +
                                      " has no peer connector");
   }
-  auto link = peer_link(addr, lane);
+  auto link = peer_link(addr);
   std::lock_guard lk(link->mu);
   if (!link->stream) {
     auto stream = peer_connector_(addr);
@@ -401,14 +400,16 @@ core::Result<net::Message> BlockServer::peer_exchange(
 net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
                                               const obs::TraceContext& trace) {
   // Local apply: the client->primary hop carries generation 0, which
-  // allocates current + 1 here; forwarded hops carry the allocated stamp.
+  // allocates current + 1 here; follower copies carry the allocated stamp.
   // For EC overwrites the replaced bytes come back from the same critical
   // section, so the parity delta below is exactly this generation
   // transition's delta even when writers race on the block (deltas XOR,
   // so parity converges regardless of the order they land in).
+  const bool terminal = req.chain.empty() && req.deltas.empty();
   std::vector<std::uint8_t> replaced;
-  auto gen = apply_write(req.dataset, req.block, req.data, req.generation,
-                         /*bump=*/true,
+  auto gen = apply_write(req.dataset, req.block,
+                         terminal ? std::move(req.data) : req.data,
+                         req.generation, /*bump=*/true,
                          req.deltas.empty() ? nullptr : &replaced);
   if (!gen.is_ok()) return encode_error_reply(gen.status());
   std::vector<std::uint8_t> delta;
@@ -421,50 +422,43 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
   reply.generation = gen.value();
   reply.acks = 1;
 
-  // Pipeline down the remaining replica chain.  A broken hop takes the
-  // whole tail with it (the pipeline cannot skip a link); the tail is
-  // reported back as missed so the client can hand it to the fixup queue.
+  // Copy the block to each follower.  A copy carries no chain, so the
+  // follower answers it without reaching any other server.  Followers are
+  // independent: one that fails is reported as missed on its own (the
+  // client hands it to the fixup queue) and the others still get the
+  // write.
   if (!req.chain.empty()) {
     OBS_STAGE("serv.chain_fwd");
-    IngestWriteRequest fwd;
-    fwd.dataset = req.dataset;
-    fwd.block = req.block;
-    fwd.generation = gen.value();
-    fwd.ack_policy = req.ack_policy;
-    fwd.data = std::move(req.data);
-    fwd.chain.assign(req.chain.begin() + 1, req.chain.end());
-    net::Message fwd_msg = encode_ingest_write_request(fwd);
-    if (trace.sampled()) {
-      // The forward is a new hop of the same request: same trace, fresh
-      // span, with a lifeline event marking the relay.
-      fwd_msg.trace_id = trace.trace_id;
-      fwd_msg.span_id = obs::new_span_id();
-      if (logger_) {
-        logger_->log(netlog::tags::kDpssChainForward,
-                     static_cast<std::int64_t>(req.block), -1,
-                     {{"TRACE", obs::trace_hex(trace.trace_id)},
-                      {"SPAN", obs::trace_hex(fwd_msg.span_id)},
-                      {"PARENT", obs::trace_hex(trace.span_id)},
-                      {"NEXT", req.chain.front().key()}});
-      }
-    }
-    // Lane = the tail the next hop still has to forward; see peer_exchange.
-    auto exchanged = peer_exchange(req.chain.front(), fwd_msg,
-                                   fwd.chain.size());
-    bool forwarded = false;
-    if (exchanged.is_ok()) {
-      auto sub = decode_ingest_write_reply(exchanged.value());
-      if (sub.is_ok()) {
-        forwarded = true;
-        chain_forwards_.inc();
-        reply.acks += sub.value().acks;
-        for (auto& a : sub.value().missed) {
-          reply.missed.push_back(std::move(a));
+    IngestWriteRequest copy;
+    copy.dataset = req.dataset;
+    copy.block = req.block;
+    copy.generation = gen.value();
+    copy.ack_policy = req.ack_policy;
+    copy.data = std::move(req.data);
+    net::Message copy_msg = encode_ingest_write_request(copy);
+    for (const auto& follower : req.chain) {
+      if (trace.sampled()) {
+        // Each copy is a new hop of the same request: same trace, fresh
+        // span, with a lifeline event marking the send.
+        copy_msg.trace_id = trace.trace_id;
+        copy_msg.span_id = obs::new_span_id();
+        if (logger_) {
+          logger_->log(netlog::tags::kDpssChainForward,
+                       static_cast<std::int64_t>(req.block), -1,
+                       {{"TRACE", obs::trace_hex(trace.trace_id)},
+                        {"SPAN", obs::trace_hex(copy_msg.span_id)},
+                        {"PARENT", obs::trace_hex(trace.span_id)},
+                        {"NEXT", follower.key()}});
         }
       }
-    }
-    if (!forwarded) {
-      for (const auto& a : req.chain) reply.missed.push_back(a);
+      auto exchanged = peer_exchange(follower, copy_msg);
+      if (exchanged.is_ok() &&
+          decode_ingest_write_reply(exchanged.value()).is_ok()) {
+        chain_forwards_.inc();
+        reply.acks += 1;
+      } else {
+        reply.missed.push_back(follower);
+      }
     }
   }
 
@@ -490,7 +484,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
                       {"TARGET", d.server.key()}});
       }
     }
-    auto exchanged = peer_exchange(d.server, pd_msg, /*lane=*/0);
+    auto exchanged = peer_exchange(d.server, pd_msg);
     bool applied = false;
     if (exchanged.is_ok()) {
       applied = decode_parity_delta_reply(exchanged.value()).is_ok();
@@ -598,26 +592,43 @@ net::Message BlockServer::handle_request(net::Message&& msg,
   return serve(msg, conn_id, nullptr);
 }
 
-std::optional<net::Message> BlockServer::handle_resident_read(
+std::optional<net::Message> BlockServer::handle_on_loop(
     net::Message& msg, std::uint64_t conn_id) {
-  if (msg.type != kBlockReadRequest || !cache_ ||
-      (prefetcher_ && !prefetch_pool_)) {
-    return std::nullopt;
+  Decoded decoded;
+  switch (msg.type) {
+    case kBlockReadRequest: {
+      if (!cache_ || (prefetcher_ && !prefetch_pool_)) return std::nullopt;
+      auto req = decode_block_read_request(msg);
+      if (!req.is_ok() || req.value().compression.codec != Codec::kNone) {
+        return std::nullopt;
+      }
+      const cache::BlockKey key{req.value().dataset, req.value().block,
+                                block_generation(req.value().dataset,
+                                                 req.value().block)};
+      decoded.pin = cache_->pin_resident(key);
+      if (!decoded.pin) return std::nullopt;
+      decoded.read = std::move(req).take();
+      break;
+    }
+    case kIngestWriteRequest: {
+      auto req = decode_ingest_write_request(msg);
+      if (!req.is_ok() || !req.value().chain.empty() ||
+          !req.value().deltas.empty()) {
+        return std::nullopt;
+      }
+      decoded.write = std::move(req).take();
+      break;
+    }
+    case kParityDeltaRequest:
+      return serve(msg, conn_id, nullptr);
+    default:
+      return std::nullopt;
   }
-  auto req = decode_block_read_request(msg);
-  if (!req.is_ok() || req.value().compression.codec != Codec::kNone) {
-    return std::nullopt;
-  }
-  const cache::BlockKey key{req.value().dataset, req.value().block,
-                            block_generation(req.value().dataset,
-                                             req.value().block)};
-  ResidentRead resident{std::move(req).take(), cache_->pin_resident(key)};
-  if (!resident.pin) return std::nullopt;
-  return serve(msg, conn_id, &resident);
+  return serve(msg, conn_id, &decoded);
 }
 
 net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
-                                ResidentRead* resident) {
+                                Decoded* decoded) {
   const int concurrent = static_cast<int>(in_flight_.add(1));
   requests_.inc();
 
@@ -640,9 +651,9 @@ net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
       case kBlockReadRequest: {
         OBS_STAGE("serv.read");
         latency = &read_seconds_;
-        auto req = resident ? core::Result<BlockReadRequest>(
-                                  std::move(resident->req))
-                            : decode_block_read_request(msg);
+        auto req = decoded ? core::Result<BlockReadRequest>(
+                                 std::move(decoded->read))
+                           : decode_block_read_request(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
@@ -651,7 +662,7 @@ net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
         std::uint64_t generation = 0;
         auto data = read_block_serviced(
             req.value().dataset, req.value().block, concurrent, conn_id,
-            resident ? std::move(resident->pin) : cache::BlockCache::Pin(),
+            decoded ? std::move(decoded->pin) : cache::BlockCache::Pin(),
             &cache_hit, &generation);
         if (!data.is_ok()) {
           reply = encode_error_reply(data.status());
@@ -693,7 +704,9 @@ net::Message BlockServer::serve(const net::Message& msg, std::uint64_t conn_id,
       case kIngestWriteRequest: {
         OBS_STAGE("serv.ingest");
         latency = &write_seconds_;
-        auto req = decode_ingest_write_request(msg);
+        auto req = decoded ? core::Result<IngestWriteRequest>(
+                                 std::move(decoded->write))
+                           : decode_ingest_write_request(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;

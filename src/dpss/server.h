@@ -20,13 +20,17 @@
 // write-through, and a stripe-aware prefetcher streams predicted blocks
 // from the modelled disks into memory ahead of the client.
 //
-// The ingest pipeline (PR 5) makes the server a *mutation* participant,
-// not just a store: every stored block carries a generation stamp (an
-// overwrite re-keys the memory tier, so a stale entry can never satisfy a
-// lookup for the new stamp), an IngestWriteRequest is applied locally and
-// pipelined server-to-server down the remaining replica chain via the
-// peer connector, and a ParityDeltaRequest folds a shipped GF delta into a
-// stored parity block with the bulk codec::gf256::delta_apply kernel.
+// The ingest pipeline makes the server a *mutation* participant, not just
+// a store: every stored block carries a generation stamp (an overwrite
+// re-keys the memory tier, so a stale entry can never satisfy a lookup for
+// the new stamp).  The block's primary applies an IngestWriteRequest
+// locally and then copies the block itself, through the peer connector, to
+// each follower its chain lists; a ParityDeltaRequest folds a shipped GF
+// delta into a stored parity block with the bulk codec::gf256::delta_apply
+// kernel.  Every server-to-server request is terminal -- a follower's copy
+// and a parity delta never wait on a third server -- so the transport can
+// answer them on its event loop (handle_on_loop), and a worker blocked on
+// a peer always waits on a loop, never on another worker.
 #pragma once
 
 #include <atomic>
@@ -137,7 +141,7 @@ class BlockServer {
   // Transport used to reach peer servers when forwarding chain writes and
   // parity deltas; wired by the deployment before traffic starts.
   void set_peer_connector(Connector connector);
-  // Chain hops this server forwarded downstream (requests it relayed).
+  // Follower copies this server sent and had acknowledged as a primary.
   std::uint64_t chain_forwards() const { return chain_forwards_.value(); }
   // Parity-delta kernels applied to stored parity blocks.
   std::uint64_t parity_deltas_applied() const {
@@ -157,14 +161,19 @@ class BlockServer {
   // detector.  Thread-safe.
   net::Message handle_request(net::Message&& msg, std::uint64_t conn_id);
   // The event-loop entry: serve `msg` exactly as handle_request would --
-  // same body, same accounting -- but only when that cannot block: an
-  // uncompressed block read whose block is pinned in the memory tier at its
-  // current generation.  Anything else (a miss, which would charge the
-  // modelled disk; a compressed read; ingest writes and parity traffic;
-  // a prefetcher without its own pool, whose fills run inline) is declined:
-  // returns nullopt with `msg` untouched, for handle_request on a worker.
-  std::optional<net::Message> handle_resident_read(net::Message& msg,
-                                                   std::uint64_t conn_id);
+  // same body, same accounting -- but only when that cannot block:
+  //   * an uncompressed block read whose block is pinned in the memory
+  //     tier at its current generation;
+  //   * an ingest write with no followers and no parity deltas (a
+  //     primary's copy to a follower, or an rf=1 overwrite);
+  //   * a parity delta.
+  // Writes never charge the disk model, so the last two take only mu_.
+  // Anything else (a miss, which would charge the modelled disk; a
+  // compressed read; a write that still has peers to reach; a prefetcher
+  // without its own pool, whose fills run inline) is declined: returns
+  // nullopt with `msg` untouched, for handle_request on a worker.
+  std::optional<net::Message> handle_on_loop(net::Message& msg,
+                                             std::uint64_t conn_id);
   // Connection ids for callers driving handle_request() directly.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
@@ -208,11 +217,11 @@ class BlockServer {
     std::vector<std::uint8_t> data;
     std::uint64_t generation = 0;
   };
-  // One pooled connection per peer; its mutex serialises the pipelined
-  // request/reply pairs of concurrent service threads forwarding to the
-  // same peer.  Per-link utilization accounting (exchanges + payload
-  // bytes both ways) rides under the same mutex and surfaces as labeled
-  // dpss_util_peer_* samples at exposition time.
+  // One pooled connection per peer; its mutex serialises the request/reply
+  // pairs of concurrent service threads copying to the same peer.
+  // Per-link utilization accounting (exchanges + payload bytes both ways)
+  // rides under the same mutex and surfaces as labeled dpss_util_peer_*
+  // samples at exposition time.
   struct PeerLink {
     std::mutex mu;
     net::StreamPtr stream;
@@ -221,18 +230,19 @@ class BlockServer {
     std::uint64_t failures = 0;
   };
 
-  // A block read already decoded and pinned in the memory tier by
-  // handle_resident_read.
-  struct ResidentRead {
-    BlockReadRequest req;
+  // A request handle_on_loop already decoded: a read (with its residency
+  // pin) or an ingest write, by the message type.
+  struct Decoded {
+    BlockReadRequest read;
     cache::BlockCache::Pin pin;
+    IngestWriteRequest write;
   };
 
   void service_loop(net::StreamPtr stream);
-  // The one request body behind handle_request and handle_resident_read;
-  // `resident` (may be null) carries the latter's decoded, pinned read.
+  // The one request body behind handle_request and handle_on_loop;
+  // `decoded` (may be null) carries the latter's decoded request.
   net::Message serve(const net::Message& msg, std::uint64_t conn_id,
-                     ResidentRead* resident);
+                     Decoded* decoded);
   // Cache-tier read: warm hits skip the DiskModel entirely; misses charge
   // the model (sleeping in throttle mode), admit-on-fill, and notify the
   // prefetcher.  A non-empty `pin` is the hit, already looked up.
@@ -258,30 +268,19 @@ class BlockServer {
       std::vector<std::uint8_t> data, std::uint64_t generation, bool bump,
       std::vector<std::uint8_t>* replaced = nullptr);
   // Ingest handlers (service_loop dispatch).  `trace` is the incoming
-  // request's context: forwarded chain hops and parity deltas travel under
-  // the same trace with fresh span ids.
+  // request's context: follower copies and parity deltas travel under the
+  // same trace with fresh span ids.
   net::Message handle_ingest_write(IngestWriteRequest&& req,
                                    const obs::TraceContext& trace);
   net::Message handle_parity_delta(ParityDeltaRequest&& req);
-  // Reach (or establish) the pooled link to `addr` in lane `lane`.
-  std::shared_ptr<PeerLink> peer_link(const ServerAddress& addr,
-                                      std::size_t lane);
+  // Reach (or establish) the pooled link to `addr`.
+  std::shared_ptr<PeerLink> peer_link(const ServerAddress& addr);
   // One request/reply exchange on a peer link; a wire failure drops the
-  // pooled stream so the next attempt reconnects.
-  //
-  // `lane` must be the number of nested peer exchanges the RECEIVING
-  // handler will itself perform (a chain forward carrying a tail of N more
-  // hops is lane N; a parity delta or terminal hop is lane 0).  Links are
-  // pooled per (peer, lane) and serialized by the link mutex while the
-  // reply is awaited, so an exchange in lane N only ever waits on lane
-  // N-1 completions -- the wait graph is ordered by lane and cannot cycle.
-  // Folding every lane into one pooled connection deadlocks under
-  // concurrent chain writes: a terminal hop queues behind a mid-chain
-  // exchange holding the shared link, which is itself waiting on another
-  // terminal hop queued behind another shared link, around the ring.
+  // pooled stream so the next attempt reconnects.  Every request sent here
+  // is terminal at the peer, so holding the link while its reply is
+  // awaited never waits on a second exchange.
   core::Result<net::Message> peer_exchange(const ServerAddress& addr,
-                                           const net::Message& request,
-                                           std::size_t lane);
+                                           const net::Message& request);
 
   std::string name_;
   DiskModel disk_;

@@ -1,16 +1,17 @@
 // Chain planning for server-driven replicated writes.
 //
 // The classic client wrote every replica itself -- rf copies of every block
-// crossing the client's uplink.  Chain replication sends each block ONCE,
-// to the group's *primary*, which pipelines it server-to-server down the
-// remaining replicas.  This module picks the chain:
+// crossing the client's uplink.  Server-driven replication sends each block
+// ONCE, to the group's *primary*, which copies it server-to-server to each
+// remaining replica (its followers).  This module picks the primary and
+// the followers:
 //
 //   * the primary must be *deterministic across clients* (it allocates the
 //     block's next generation, so two writers racing on one block must
 //     agree on the allocator): it is the first non-down replica in ring
 //     order, NOT the least-loaded one -- placement::primary_replica();
 //   * the followers are the remaining live replicas, kept in ring order so
-//     concurrent writes traverse replicas consistently;
+//     concurrent writes visit replicas consistently;
 //   * the ack policy then truncates the chain at the primary: kAll keeps
 //     every follower, kQuorum keeps just enough for a strict majority,
 //     kPrimary keeps none.  Truncated followers are the write's "missed"

@@ -1,7 +1,7 @@
 // Background fixup queue: replicas that missed a generation.
 //
 // Degraded writes are the price of the relaxed ack policies (and of
-// followers dying mid-chain): a replica or parity owner is left one or
+// followers that are unreachable): a replica or parity owner is left one or
 // more generations behind the acknowledged copy.  The client reports every
 // missed target to the master, whose FixupQueue holds the debt until
 // Master::tick() drains it -- the deployment-side executor re-copies the

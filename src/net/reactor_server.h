@@ -11,11 +11,11 @@
 //     in order, which the pipelined DpssFile fetch paths rely on), while
 //     different connections proceed independently;
 //   * a loop-side handler answers what it can without blocking (a block
-//     read already in the memory tier) on the connection's own loop, with
-//     no thread handoff, while the connection's replies drain; everything
-//     it declines runs on a worker ThreadPool, so a handler that blocks
-//     (modelled disk sleeps, chain forwarding to a peer) never stalls an
-//     event loop;
+//     read already in the memory tier, a write that reaches no peer) on the
+//     connection's own loop, with no thread handoff, while the connection's
+//     replies drain; everything it declines runs on a worker ThreadPool, so
+//     a handler that blocks (modelled disk sleeps, copying a block to a
+//     peer) never stalls an event loop;
 //   * a handler that throws closes only its own connection and is counted;
 //   * replies land in a BOUNDED per-connection write queue -- a peer that
 //     stops reading gets its connection closed at the cap (back-pressure)
@@ -25,7 +25,7 @@
 //
 // The blocking BlockServer::serve(StreamPtr)/Master::serve(StreamPtr) API
 // survives as a shim for in-memory pipe deployments; both paths feed the
-// same request body (BlockServer::handle_resident_read is that body
+// same request body (BlockServer::handle_on_loop is that body
 // restricted to what cannot block), so behaviour is identical by
 // construction.
 #pragma once

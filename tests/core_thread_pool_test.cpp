@@ -160,23 +160,7 @@ TEST(ThreadPool, BurstAccountingWithInjectedClock) {
   EXPECT_EQ(waited_five, 8);
 }
 
-TEST(ThreadPool, ElasticPoolGrowsPastBlockedWorkers) {
-  // One worker, elastic: the first task blocks until the SECOND task runs.
-  // A fixed-size pool would deadlock here; the elastic pool must spawn an
-  // extra worker because none is idle at the second submit.
-  ThreadPool pool(1, /*elastic=*/true);
-  std::promise<void> second_ran;
-  auto second = second_ran.get_future().share();
-  auto first = pool.submit([second] { second.wait(); });
-  auto fut2 = pool.submit([&] { second_ran.set_value(); });
-  ASSERT_EQ(first.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  ASSERT_EQ(fut2.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  EXPECT_GE(pool.size(), 2);
-}
-
-TEST(ThreadPool, NonElasticPoolKeepsFixedSize) {
+TEST(ThreadPool, PoolKeepsFixedSize) {
   ThreadPool pool(2);
   std::vector<std::future<void>> futs;
   for (int i = 0; i < 50; ++i) futs.push_back(pool.submit([] {}));

@@ -1,11 +1,21 @@
 // Integration tests of the server-driven write pipeline over live
-// deployments: chain replication under each ack policy, generation
-// stamping through every cache tier, EC parity-delta writes,
-// stale-replica read detection, and fixup-queue recovery after a primary
-// dies.
+// deployments: primary-copy replication under each ack policy, a dead
+// follower missed on its own, generation stamping through every cache
+// tier, EC parity-delta writes, stale-replica read detection, fixup-queue
+// recovery after a primary dies, and concurrent writers on one-worker
+// pools that must neither deadlock nor grow a thread.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/data_source.h"
@@ -383,6 +393,189 @@ TEST(IngestWrite, TcpChainWriteRoundTrips) {
   auto n = rfile.value()->read(buf.data(), buf.size());
   ASSERT_TRUE(n.is_ok());
   EXPECT_EQ(buf, fresh);
+  deployment.stop();
+}
+
+TEST(IngestWrite, DeadFollowerIsMissedAloneAndTheOtherFollowerStillWrites) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  PipeDeployment deployment(4);
+  ASSERT_TRUE(deployment.ingest(desc, kBlock, 1, 3).is_ok());
+  auto map = deployment.master().placement_map(desc.name);
+  ASSERT_NE(map, nullptr);
+  const auto chain =
+      ingest::plan_chain(map->replicas_for_block(0), {}, {});
+  ASSERT_TRUE(chain.viable());
+  ASSERT_EQ(chain.followers.size(), 2u);
+  const int primary = chain.primary;
+  const int dead = static_cast<int>(chain.followers[0]);
+  const int live = static_cast<int>(chain.followers[1]);
+
+  // The client opens while every server is up, so its write still lists
+  // the dead server as block 0's first follower.
+  auto client = deployment.make_client();
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok());
+  deployment.kill_server(dead);
+
+  // The primary's reply: two acks, and only the dead follower missed.
+  IngestWriteRequest req;
+  req.dataset = desc.name;
+  req.block = 0;
+  req.data = pattern_bytes(kBlock, 5);
+  req.chain = {deployment.server_address(dead),
+               deployment.server_address(live)};
+  BlockServer& srv = deployment.server(primary);
+  auto reply = decode_ingest_write_reply(srv.handle_request(
+      encode_ingest_write_request(req), srv.allocate_conn_id()));
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value().acks, 2u);
+  ASSERT_EQ(reply.value().missed.size(), 1u);
+  EXPECT_EQ(reply.value().missed[0], deployment.server_address(dead));
+  auto stored = deployment.server(live).stamped_block(desc.name, 0);
+  ASSERT_TRUE(stored.is_ok());
+  EXPECT_EQ(stored.value().generation, reply.value().generation);
+  EXPECT_EQ(stored.value().data, req.data);
+
+  // Through the client: the dead server alone lands on the fixup queue,
+  // and the live follower stores the generation the client saw acked.
+  const auto fresh = pattern_bytes(kBlock, 6);
+  ASSERT_TRUE(file.value()->write(fresh.data(), fresh.size()).is_ok());
+  EXPECT_EQ(file.value()->degraded_writes(), 1u);
+  std::vector<ServerAddress> owed;
+  deployment.master().set_fixup_executor(
+      [&owed](const ingest::FixupTask& task) {
+        owed.push_back(task.target);
+        return core::Status::ok();
+      });
+  deployment.master().tick(0.0);
+  ASSERT_EQ(owed.size(), 1u);
+  EXPECT_EQ(owed[0], deployment.server_address(dead));
+  stored = deployment.server(live).stamped_block(desc.name, 0);
+  ASSERT_TRUE(stored.is_ok());
+  EXPECT_EQ(stored.value().generation, file.value()->known_generation(0));
+  EXPECT_EQ(stored.value().data, fresh);
+}
+
+// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(IngestWrite, ConcurrentWritersOnOneWorkerPerServerNeverDeadlock) {
+  // One worker per server and one event loop for the whole farm: the
+  // tightest pools a deployment can run.  A worker blocked copying a block
+  // to a peer must only ever wait on that peer's loop.
+  constexpr int kWriters = 16;
+  constexpr int kRounds = 20;
+  TcpDeploymentOptions options;
+  options.worker_threads = 1;
+  options.reactor_loops = 1;
+  TcpDeployment deployment(4, DiskModel{}, /*throttle=*/false,
+                           ServerCacheConfig(), options);
+  ASSERT_TRUE(deployment.start().is_ok());
+  vol::DatasetDesc rf3 = vol::small_combustion_dataset(1);
+  rf3.name = "rf3";
+  vol::DatasetDesc ec = vol::small_combustion_dataset(1);
+  ec.name = "ec21";
+  ASSERT_TRUE(deployment.ingest(rf3, kBlock, 1, 3).is_ok());
+  ASSERT_TRUE(
+      deployment.ingest(ec, kBlock, 1, 1, codec::EcProfile{2, 1}).is_ok());
+  ASSERT_GE(rf3.total_bytes() / kBlock, static_cast<std::uint64_t>(kWriters));
+
+  struct Writer {
+    std::unique_ptr<DpssClient> client;
+    std::unique_ptr<DpssFile> files[2];
+  };
+  std::vector<Writer> writers(kWriters);
+  for (auto& w : writers) {
+    auto client = deployment.make_client();
+    ASSERT_TRUE(client.is_ok());
+    w.client = std::make_unique<DpssClient>(std::move(client).take());
+    for (int f = 0; f < 2; ++f) {
+      auto file = w.client->open(f == 0 ? rf3.name : ec.name);
+      ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+      w.files[f] = std::move(file).take();
+    }
+  }
+
+  const int threads_before = process_threads();
+  std::atomic<int> errors{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kWriters; ++i) {
+    threads.emplace_back([&, i] {
+      // Writer i owns block i of each dataset, so no two writers race on
+      // a block's generation.
+      const std::int64_t at = std::int64_t{i} * kBlock;
+      for (int r = 0; r < kRounds; ++r) {
+        for (auto& file : writers[static_cast<std::size_t>(i)].files) {
+          const auto bytes = pattern_bytes(
+              kBlock, static_cast<std::uint8_t>(i * kRounds + r));
+          if (file->lseek(at) != at ||
+              !file->write(bytes.data(), bytes.size()).is_ok()) {
+            errors.fetch_add(1);
+          }
+        }
+      }
+      std::lock_guard lk(mu);
+      ++finished;
+      cv.notify_one();
+    });
+  }
+  {
+    // Watchdog: a deadlocked writer never returns and cannot be joined, so
+    // fail the process rather than hang the suite.
+    std::unique_lock lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(60),
+                     [&] { return finished == kWriters; })) {
+      std::fprintf(stderr, "deadlock: %d of %d writers finished in 60 s\n",
+                   finished, kWriters);
+      std::fflush(stderr);
+      std::_Exit(EXIT_FAILURE);
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  // No pool grew to get the writes through.
+  EXPECT_EQ(process_threads(), threads_before);
+
+  // Every follower copy and parity delta was answered on its target's
+  // event loop.
+  std::uint64_t inline_requests = 0;
+  std::uint64_t peer_requests = 0;
+  for (int s = 0; s < deployment.server_count(); ++s) {
+    inline_requests += deployment.server_net_stats(s).inline_requests;
+    peer_requests += deployment.server(s).chain_forwards() +
+                     deployment.server(s).parity_deltas_applied();
+  }
+  EXPECT_EQ(peer_requests, static_cast<std::uint64_t>(kWriters * kRounds) *
+                               (2 + 1));
+  EXPECT_GE(inline_requests, peer_requests);
+
+  // Every replica holds its writer's last bytes.
+  auto map = deployment.master().placement_map(rf3.name);
+  ASSERT_NE(map, nullptr);
+  for (int i = 0; i < kWriters; ++i) {
+    const auto last = pattern_bytes(
+        kBlock, static_cast<std::uint8_t>(i * kRounds + kRounds - 1));
+    for (std::uint32_t s :
+         map->replicas_for_block(static_cast<std::uint64_t>(i)).servers) {
+      auto stored = deployment.server(static_cast<int>(s))
+                        .get_block(rf3.name, static_cast<std::uint64_t>(i));
+      ASSERT_TRUE(stored.is_ok());
+      EXPECT_EQ(stored.value(), last) << "server " << s << " block " << i;
+    }
+  }
+  for (auto& w : writers) {
+    for (auto& file : w.files) file->close();
+  }
   deployment.stop();
 }
 

@@ -246,7 +246,7 @@ TEST(ObsCollector, TracedRf3ChainWriteAssemblesOneTree) {
   EXPECT_GE(collector.finalize_all(), 1u);
 
   // One traced request -> one tree with the client root, the primary's
-  // span, and both chain hops (merged from CHAIN_FWD + SERV_IN/OUT).
+  // span, and both follower copies (merged from CHAIN_FWD + SERV_IN/OUT).
   const auto trees = collector.trees();
   const obs::TraceTree* write_tree = nullptr;
   for (const auto& t : trees) {
@@ -267,7 +267,7 @@ TEST(ObsCollector, TracedRf3ChainWriteAssemblesOneTree) {
       EXPECT_NE(s.parent_span_id, 0u);     // sender linkage merged in
     }
   }
-  EXPECT_EQ(chain_spans, 2);  // rf=3: primary -> hop 1 -> hop 2
+  EXPECT_EQ(chain_spans, 2);  // rf=3: primary -> each of 2 followers
 
   const auto b = obs::critical_path(*write_tree);
   const double wall = write_tree->wall_seconds();

@@ -1,6 +1,6 @@
 // End-to-end request tracing: one traced DpssFile write against a
-// replicated chain must reconstruct into a single ordered lifeline --
-// client span, primary, every chain hop, and the acks back out -- exactly
+// replicated block must reconstruct into a single ordered lifeline --
+// client span, primary, every follower copy, and the acks back out -- exactly
 // the paper's NLV per-request plot, and a sampling rate of zero must keep
 // the hot path silent.
 #include <gtest/gtest.h>
@@ -38,8 +38,8 @@ std::string field(const netlog::Event& e, const std::string& key) {
 }
 
 // The sink's append order IS the causal order here: the pipe transport
-// services each hop synchronously, so a forwarded write's downstream
-// events land between the forwarder's SERV_IN and SERV_OUT.
+// services each hop synchronously, so a follower's events land between
+// the primary's SERV_IN and SERV_OUT.
 std::vector<netlog::Event> trace_events(const netlog::MemorySink& sink,
                                         const std::string& trace) {
   std::vector<netlog::Event> out;
@@ -101,23 +101,23 @@ TEST(ObsTrace, WriteAgainstRf3ChainYieldsOrderedLifeline) {
   tags.reserve(lifeline.size());
   for (const auto& e : lifeline) tags.push_back(e.tag);
 
-  // Client span wraps the whole chain: primary in, two forwards each
-  // bracketing the downstream hop, acks unwinding in reverse.
+  // Client span wraps the whole write: primary in, then one copy per
+  // follower, each bracketing that follower's hop, then the primary's ack.
   const std::vector<std::string> expected = {
       netlog::tags::kDpssWriteStart,
       netlog::tags::kDpssServIn,        // primary
-      netlog::tags::kDpssChainForward,  // primary -> hop 1
-      netlog::tags::kDpssServIn,        // hop 1
-      netlog::tags::kDpssChainForward,  // hop 1 -> hop 2
-      netlog::tags::kDpssServIn,        // hop 2
-      netlog::tags::kDpssServOut,       // hop 2 ack
-      netlog::tags::kDpssServOut,       // hop 1 ack
+      netlog::tags::kDpssChainForward,  // primary -> follower 1
+      netlog::tags::kDpssServIn,        // follower 1
+      netlog::tags::kDpssServOut,       // follower 1 ack
+      netlog::tags::kDpssChainForward,  // primary -> follower 2
+      netlog::tags::kDpssServIn,        // follower 2
+      netlog::tags::kDpssServOut,       // follower 2 ack
       netlog::tags::kDpssServOut,       // primary ack
       netlog::tags::kDpssWriteEnd,
   };
   EXPECT_EQ(tags, expected);
 
-  // Three distinct hosts served the chain (primary + 2 forwards).
+  // Three distinct hosts served the write (primary + 2 followers).
   std::set<std::string> hosts;
   for (const auto& e : lifeline) {
     if (e.tag == netlog::tags::kDpssServIn) hosts.insert(e.host);
