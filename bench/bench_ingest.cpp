@@ -11,9 +11,9 @@
 // parity-delta kernel ops.
 //
 // A final section sweeps concurrent writer connections against a real TCP
-// deployment, reactor front door vs the thread-per-connection baseline:
-// each writer replicates its own slice, and the aggregate write
-// throughput per connection count shows where each front door knees over.
+// deployment behind the reactor front door: each writer replicates its own
+// slice, and the aggregate write throughput and latency per connection
+// count show how the front door holds up under fan-in.
 //
 // The last stdout line is a single machine-readable JSON object (the
 // BENCH_* perf-trajectory hook):
@@ -22,8 +22,7 @@
 //    "ec42_chain_mbps":...,"ec42_parity_deltas":...,
 //    "rf2_chain_forwards":...,
 //    "sweep_reactor_w<N>_mbps":...,"sweep_reactor_w<N>_p50_ms":...,
-//    "sweep_reactor_w<N>_p95_ms":...,"sweep_reactor_w<N>_p99_ms":...,
-//    "sweep_threads_w<N>_mbps":... (same p50/p95/p99 trio)}
+//    "sweep_reactor_w<N>_p95_ms":...,"sweep_reactor_w<N>_p99_ms":...}
 // Per-write latency percentiles come from an obs::Histogram shared by the
 // driver threads -- mean throughput alone hides the replication tail.
 #include <atomic>
@@ -100,7 +99,7 @@ OverwriteResult run_rf(const vol::DatasetDesc& dataset, std::uint32_t rf) {
   return out;
 }
 
-// ---- writer-connections sweep (reactor vs thread-per-conn) ----
+// ---- writer-connections sweep ----
 
 constexpr int kWriterCounts[] = {16, 64, 256};
 constexpr int kWriterDrivers = 8;
@@ -117,13 +116,11 @@ struct WriterPoint {
   double p99_ms = 0.0;
 };
 
-WriterPoint run_writer_point(dpss::ServeMode mode,
-                             const vol::DatasetDesc& dataset, int conns) {
+WriterPoint run_writer_point(const vol::DatasetDesc& dataset, int conns) {
   WriterPoint out;
   out.conns = conns;
 
   dpss::TcpDeploymentOptions options;
-  options.serve_mode = mode;
   options.worker_threads = 8;
   dpss::TcpDeployment deployment(4, dpss::DiskModel{}, /*throttle=*/false,
                                  dpss::ServerCacheConfig{}, options);
@@ -259,26 +256,16 @@ int main() {
   std::printf("writer sweep: 4 TCP servers, rf=2 chain, %d x %zu B/conn\n",
               kWriteRounds, kSliceBytes);
   core::TableWriter sweep_table(
-      {"writers", "reactor MB/s", "reactor p50/p95/p99 ms", "reactor errors",
-       "threads MB/s", "threads p50/p95/p99 ms", "threads errors"});
-  auto fmt_tail = [](const WriterPoint& p) {
-    return core::fmt_double(p.p50_ms, 2) + "/" + core::fmt_double(p.p95_ms, 2) +
-           "/" + core::fmt_double(p.p99_ms, 2);
-  };
-  std::vector<WriterPoint> reactor_pts, thread_pts;
+      {"writers", "reactor MB/s", "reactor p50/p95/p99 ms", "reactor errors"});
+  std::vector<WriterPoint> reactor_pts;
   for (int conns : kWriterCounts) {
-    reactor_pts.push_back(
-        run_writer_point(dpss::ServeMode::kReactor, dataset, conns));
-    thread_pts.push_back(run_writer_point(
-        dpss::ServeMode::kThreadPerConnection, dataset, conns));
+    const WriterPoint& p =
+        reactor_pts.emplace_back(run_writer_point(dataset, conns));
     sweep_table.add_row(
-        {std::to_string(conns),
-         core::fmt_double(reactor_pts.back().aggregate_mbps, 1),
-         fmt_tail(reactor_pts.back()),
-         std::to_string(reactor_pts.back().write_errors),
-         core::fmt_double(thread_pts.back().aggregate_mbps, 1),
-         fmt_tail(thread_pts.back()),
-         std::to_string(thread_pts.back().write_errors)});
+        {std::to_string(conns), core::fmt_double(p.aggregate_mbps, 1),
+         core::fmt_double(p.p50_ms, 2) + "/" + core::fmt_double(p.p95_ms, 2) +
+             "/" + core::fmt_double(p.p99_ms, 2),
+         std::to_string(p.write_errors)});
   }
   std::printf("%s\n", sweep_table.to_string().c_str());
 
@@ -294,13 +281,9 @@ int main() {
     const std::string w = std::to_string(reactor_pts[i].conns);
     summary.metric("sweep_reactor_w" + w + "_mbps",
                    reactor_pts[i].aggregate_mbps)
-        .metric("sweep_threads_w" + w + "_mbps", thread_pts[i].aggregate_mbps)
         .metric("sweep_reactor_w" + w + "_p50_ms", reactor_pts[i].p50_ms)
         .metric("sweep_reactor_w" + w + "_p95_ms", reactor_pts[i].p95_ms)
-        .metric("sweep_reactor_w" + w + "_p99_ms", reactor_pts[i].p99_ms)
-        .metric("sweep_threads_w" + w + "_p50_ms", thread_pts[i].p50_ms)
-        .metric("sweep_threads_w" + w + "_p95_ms", thread_pts[i].p95_ms)
-        .metric("sweep_threads_w" + w + "_p99_ms", thread_pts[i].p99_ms);
+        .metric("sweep_reactor_w" + w + "_p99_ms", reactor_pts[i].p99_ms);
   }
   return summary.write();
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,13 +72,25 @@ class StripeLayout {
 
   // ---- parity storage identity ----
   static std::string parity_dataset(const std::string& dataset) {
-    return dataset + "#parity";
+    return dataset + kParitySuffix;
+  }
+  // The inverse: "<name>" for "<name>#parity", nullopt for any dataset
+  // that is not a parity companion.
+  static std::optional<std::string> parity_base(const std::string& dataset) {
+    const std::size_t n = sizeof(kParitySuffix) - 1;
+    if (dataset.size() <= n ||
+        dataset.compare(dataset.size() - n, n, kParitySuffix) != 0) {
+      return std::nullopt;
+    }
+    return dataset.substr(0, dataset.size() - n);
   }
   std::uint64_t parity_block(std::uint64_t group, std::uint32_t parity_index) const {
     return group * profile().parity_slices + parity_index;
   }
 
  private:
+  static constexpr char kParitySuffix[] = "#parity";
+
   std::shared_ptr<const placement::PlacementMap> map_;
 };
 

@@ -102,6 +102,40 @@ void collect_pool_stats(const core::ThreadPoolStats& s,
 
 // ---- shared ingest -----------------------------------------------------------
 
+namespace {
+
+// Data slice `slice` of a parity group: logical block `block`.
+using SliceFetch = std::function<core::Result<std::vector<std::uint8_t>>(
+    std::uint32_t slice, std::uint64_t block)>;
+
+// Encode group `group`'s m parity slices from its k data slices.  Slices
+// past the dataset's `block_count` blocks are zero, and every slice is
+// zero-padded to `block_bytes` (the short final block included) -- the
+// padding the decoder applies.  The first fetch error is returned as is.
+core::Result<std::vector<std::vector<std::uint8_t>>> encode_group_parity(
+    const codec::ReedSolomon& rs, std::uint64_t group,
+    std::uint64_t block_count, std::uint32_t block_bytes,
+    const SliceFetch& fetch) {
+  const std::uint32_t k = rs.k();
+  std::vector<std::vector<std::uint8_t>> data(k);
+  std::vector<const std::uint8_t*> ptrs(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const std::uint64_t block = group * k + i;
+    if (block < block_count) {
+      auto blk = fetch(i, block);
+      if (!blk.is_ok()) return blk.status();
+      data[i] = std::move(blk).take();
+    }
+    data[i].resize(block_bytes, 0);
+    ptrs[i] = data[i].data();
+  }
+  std::vector<std::vector<std::uint8_t>> parity;
+  rs.encode(ptrs, block_bytes, &parity);
+  return parity;
+}
+
+}  // namespace
+
 core::Status ingest_dataset(Master& master, std::vector<BlockServer*> servers,
                             std::vector<ServerAddress> addresses,
                             const vol::DatasetDesc& desc,
@@ -217,29 +251,19 @@ core::Status ingest_dataset(Master& master, std::vector<BlockServer*> servers,
     const std::string parity_name =
         codec::StripeLayout::parity_dataset(desc.name);
     const std::uint32_t k = ec.data_slices, m = ec.parity_slices;
-    std::vector<std::vector<std::uint8_t>> data(k);
-    std::vector<const std::uint8_t*> ptrs(k);
     for (std::uint64_t g = 0; g < map->group_count(); ++g) {
-      for (std::uint32_t i = 0; i < k; ++i) {
-        const std::uint64_t block = g * k + i;
-        if (block >= layout.block_count()) {
-          data[i].assign(block_bytes, 0);
-        } else {
-          const int owner = map->slice_server(g, i);
-          auto blk = servers[static_cast<std::size_t>(owner)]->get_block(
-              desc.name, block);
-          if (!blk.is_ok()) return blk.status();
-          data[i] = std::move(blk).take();
-          data[i].resize(block_bytes, 0);
-        }
-        ptrs[i] = data[i].data();
-      }
-      std::vector<std::vector<std::uint8_t>> parity;
-      rs.encode(ptrs, block_bytes, &parity);
+      auto parity = encode_group_parity(
+          rs, g, layout.block_count(), block_bytes,
+          [&](std::uint32_t i, std::uint64_t block) {
+            const int owner = map->slice_server(g, i);
+            return servers[static_cast<std::size_t>(owner)]->get_block(
+                desc.name, block);
+          });
+      if (!parity.is_ok()) return parity.status();
       for (std::uint32_t j = 0; j < m; ++j) {
         const int owner = map->slice_server(g, k + j);
         servers[static_cast<std::size_t>(owner)]->put_block(
-            parity_name, g * m + j, std::move(parity[j]));
+            parity_name, g * m + j, std::move(parity.value()[j]));
       }
     }
   }
@@ -434,65 +458,48 @@ core::Status apply_fixup(
   if (!target) {
     return core::unavailable("fixup target unreachable: " + task.target.key());
   }
-  static const std::string kParitySuffix = "#parity";
-  const bool is_parity =
-      task.dataset.size() > kParitySuffix.size() &&
-      task.dataset.compare(task.dataset.size() - kParitySuffix.size(),
-                           kParitySuffix.size(), kParitySuffix) == 0;
-  if (is_parity) {
+  if (auto base = codec::StripeLayout::parity_base(task.dataset)) {
     // Re-encode the parity block from the group's data slices at their
     // current state: every delta the target missed -- however many -- is
     // folded in by one encode pass.
-    const std::string base =
-        task.dataset.substr(0, task.dataset.size() - kParitySuffix.size());
-    auto map = master.placement_map(base);
+    auto map = master.placement_map(*base);
     if (!map || !map->erasure_coded()) {
       return core::failed_precondition(
-          "parity fixup for non-EC dataset " + base);
+          "parity fixup for non-EC dataset " + *base);
     }
-    auto open = master.lookup(base);
+    auto open = master.lookup(*base);
     if (!open.is_ok()) return open.status();
     const codec::EcProfile& ec = map->ec_profile();
-    const std::uint32_t k = ec.data_slices;
     const std::uint64_t group = task.block / ec.parity_slices;
     const std::uint32_t parity_index =
         static_cast<std::uint32_t>(task.block % ec.parity_slices);
-    const std::uint32_t block_bytes = open.value().layout.block_bytes;
-    std::vector<std::vector<std::uint8_t>> data(k);
-    std::vector<const std::uint8_t*> ptrs(k);
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const std::uint64_t b = group * k + i;
-      if (b >= map->block_count()) {
-        data[i].assign(block_bytes, 0);
-      } else {
-        const int owner = map->slice_server(group, i);
-        if (owner < 0) {
-          return core::unavailable("no owner for data slice " +
-                                   std::to_string(i));
-        }
-        BlockServer* src = resolve(
-            map->ring().servers()[static_cast<std::size_t>(owner)]);
-        if (!src) {
-          return core::unavailable("data-slice owner unreachable for group " +
-                                   std::to_string(group));
-        }
-        auto blk = src->get_block(base, b);
-        if (!blk.is_ok()) return blk.status();
-        data[i] = std::move(blk).take();
-        data[i].resize(block_bytes, 0);
-      }
-      ptrs[i] = data[i].data();
-    }
-    const codec::ReedSolomon rs(ec);
-    std::vector<std::vector<std::uint8_t>> parity;
-    rs.encode(ptrs, block_bytes, &parity);
+    auto parity = encode_group_parity(
+        codec::ReedSolomon(ec), group, map->block_count(),
+        open.value().layout.block_bytes,
+        [&](std::uint32_t i, std::uint64_t b)
+            -> core::Result<std::vector<std::uint8_t>> {
+          const int owner = map->slice_server(group, i);
+          if (owner < 0) {
+            return core::unavailable("no owner for data slice " +
+                                     std::to_string(i));
+          }
+          BlockServer* src = resolve(
+              map->ring().servers()[static_cast<std::size_t>(owner)]);
+          if (!src) {
+            return core::unavailable(
+                "data-slice owner unreachable for group " +
+                std::to_string(group));
+          }
+          return src->get_block(*base, b);
+        });
+    if (!parity.is_ok()) return parity.status();
     // Parity generations allocate locally; stamp past whatever the target
     // carries so the re-encode supersedes the missed deltas.
     const std::uint64_t gen =
         std::max(task.generation,
                  target->block_generation(task.dataset, task.block) + 1);
     return target->put_block_at(task.dataset, task.block,
-                                std::move(parity[parity_index]), gen);
+                                std::move(parity.value()[parity_index]), gen);
   }
   // Replicated (or classic striped) block: copy, stamp included, from a
   // replica that has reached the missed generation.
@@ -825,17 +832,15 @@ core::Status TcpDeployment::start() {
   // teardown path: a half-built transport left behind would be torn down
   // under the next attempt's feet.
   started_ = true;
-  auto st = options_.serve_mode == ServeMode::kReactor ? open_reactor_fronts()
-                                                       : open_accept_threads();
-  if (!st.is_ok()) {
+  if (auto st = open_reactor_fronts(); !st.is_ok()) {
     stop();
     return st;
   }
 
   // Follower copies and parity deltas travel plain loopback TCP, exactly
   // like client traffic -- including the connect deadline, so a copy to a
-  // dead peer fails over instead of hanging the write.  In reactor mode
-  // they enter through the peer's one front door, whose loop answers them
+  // dead peer fails over instead of hanging the write.  They enter through
+  // the peer's one front door, whose loop answers them
   // (BlockServer::handle_on_loop).
   const net::ConnectOptions copts = connect_options();
   for (auto& server : servers_) {
@@ -966,38 +971,6 @@ core::Status TcpDeployment::open_reactor_fronts() {
   return core::Status::ok();
 }
 
-core::Status TcpDeployment::open_accept_threads() {
-  // Fresh listeners per start: a closed TcpListener cannot listen again.
-  master_listener_ = std::make_unique<net::TcpListener>();
-  if (auto st = master_listener_->listen(0); !st.is_ok()) return st;
-  accept_threads_.emplace_back([this] {
-    for (;;) {
-      auto stream = master_listener_->accept();
-      if (!stream.is_ok()) return;
-      master_.serve(stream.value());
-    }
-  });
-  for (auto& server : servers_) {
-    auto listener = std::make_unique<net::TcpListener>();
-    if (auto st = listener->listen(0); !st.is_ok()) return st;
-    net::TcpListener* raw = listener.get();
-    BlockServer* srv = server.get();
-    accept_threads_.emplace_back([raw, srv] {
-      for (;;) {
-        auto stream = raw->accept();
-        if (!stream.is_ok()) return;
-        srv->serve(stream.value());
-      }
-    });
-    {
-      std::lock_guard lk(state_mu_);
-      addresses_.push_back(ServerAddress{"127.0.0.1", listener->port()});
-    }
-    server_listeners_.push_back(std::move(listener));
-  }
-  return core::Status::ok();
-}
-
 void TcpDeployment::stop() {
   if (!started_) return;
   // Unregister the stats collectors before their backing fronts die.
@@ -1017,15 +990,6 @@ void TcpDeployment::stop() {
   server_fronts_.clear();
   worker_pools_.clear();
   reactors_.reset();
-  // Thread-per-connection mode: closing a listener wakes its accept loop.
-  if (master_listener_) master_listener_->close();
-  for (auto& l : server_listeners_) l->close();
-  for (auto& t : accept_threads_) {
-    if (t.joinable()) t.join();
-  }
-  accept_threads_.clear();
-  master_listener_.reset();
-  server_listeners_.clear();
   {
     std::lock_guard lk(state_mu_);
     addresses_.clear();
@@ -1037,12 +1001,10 @@ void TcpDeployment::stop() {
 void TcpDeployment::close_door(int i) {
   const auto at = static_cast<std::size_t>(i);
   if (at < server_fronts_.size()) server_fronts_[at]->close();
-  if (at < server_listeners_.size()) server_listeners_[at]->close();
 }
 
 std::uint16_t TcpDeployment::master_port() const {
-  if (master_front_) return master_front_->port();
-  return master_listener_ ? master_listener_->port() : 0;
+  return master_front_ ? master_front_->port() : 0;
 }
 
 std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {

@@ -8,8 +8,10 @@
 //   * PipeDeployment -- everything in-process over in-memory pipes; used by
 //     unit/integration tests and the quickstart example.
 //   * TcpDeployment -- master and servers listening on real loopback TCP
-//     ports (epoll reactor fronts or accept threads); used by the dpss_tool
-//     example and the socket integration tests.
+//     ports, every connection served by one shared pool of epoll event
+//     loops (a connection costs a buffer, not a thread, so one deployment
+//     absorbs the paper's massive fan-in); used by the dpss_tool example,
+//     the socket integration tests and the benches.
 //
 // ingest() stripes a generated dataset across the block servers and
 // registers it with the master -- the reproduction of "migrate the files
@@ -195,26 +197,14 @@ class PipeDeployment : public Deployment {
   ServerCacheConfig cache_config_;
 };
 
-// How a TcpDeployment services connections.
-enum class ServeMode {
-  // Epoll event loops (net/reactor_server.h): a connection costs a buffer,
-  // not a thread, so one deployment absorbs thousands of clients -- the
-  // paper's massive fan-in.  The default.
-  kReactor,
-  // The historical one-thread-per-connection accept loops; kept as the
-  // baseline the connections-vs-throughput sweeps compare against.
-  kThreadPerConnection,
-};
-
 struct TcpDeploymentOptions {
-  ServeMode serve_mode = ServeMode::kReactor;
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
-  // Handler offload threads per block server (reactor mode).  Block reads
-  // resident in the memory tier, and writes and parity deltas that reach
-  // no peer, are answered on the event loops; every other block-server
-  // request may block (modelled disk sleeps, a primary copying a block to
-  // its followers) and runs here.  A worker waiting on a peer waits on the
+  // Handler offload threads per block server.  Block reads resident in the
+  // memory tier, and writes and parity deltas that reach no peer, are
+  // answered on the event loops; every other block-server request may
+  // block (modelled disk sleeps, a primary copying a block to its
+  // followers) and runs here.  A worker waiting on a peer waits on the
   // peer's event loop, never on a worker, so any size >= 1 is
   // deadlock-free.
   int worker_threads = 4;
@@ -222,35 +212,33 @@ struct TcpDeploymentOptions {
   // kDeadlineExceeded after this long instead of hanging on a dead or
   // overloaded address; failover then tries the next replica.
   double connect_timeout_seconds = 5.0;
-  // Per-request read deadline on server connections (reactor mode): once a
-  // request's first byte arrives the rest must follow within this window
-  // or the connection is shed and counted.  0 disables.
+  // Per-request read deadline on server connections: once a request's
+  // first byte arrives the rest must follow within this window or the
+  // connection is shed and counted.  0 disables.
   double request_read_timeout_seconds = 10.0;
-  // Back-pressure cap per connection (reactor mode): un-drained reply
-  // bytes beyond this close the connection.
+  // Back-pressure cap per connection: un-drained reply bytes beyond this
+  // close the connection.
   std::size_t write_queue_cap_bytes = 4u << 20;
 };
 
 class TcpDeployment : public Deployment {
  public:
-  // Listeners (reactor-backed or accept threads per `options`) open at
-  // start().  `throttle` enables the disk service-time model on the live
-  // servers.
+  // The front doors open at start().  `throttle` enables the disk
+  // service-time model on the live servers.
   TcpDeployment(int server_count, DiskModel disk = {}, bool throttle = false,
                 ServerCacheConfig cache = ServerCacheConfig(),
                 TcpDeploymentOptions options = {});
   ~TcpDeployment() override;
 
-  // Open every listener.  A failed start tears down what it built, so a
+  // Open every front door.  A failed start tears down what it built, so a
   // later start() (or an implicit one from ingest/make_client) retries
   // from scratch.
   core::Status start();
   void stop();
 
   std::uint16_t master_port() const;
-  ServeMode serve_mode() const { return options_.serve_mode; }
 
-  // ---- reactor introspection (empty / zero in thread mode) ----
+  // ---- reactor introspection (empty / zero before start()) ----
   // Per-loop event counts for the shared ReactorPool.
   std::vector<net::ReactorStats> reactor_stats() const;
   // Connection/request/timeout counters for server `i`'s front door.
@@ -263,26 +251,20 @@ class TcpDeployment : public Deployment {
  private:
   core::Status ensure_serving() override { return start(); }
   bool serving() const override { return started_; }
-  // Close server `i`'s listener (reactor close drains in-flight handlers;
-  // listener close wakes the accept thread).  The port stays reserved in
-  // the catalog so replica ranking can skip it.
+  // Close server `i`'s front door (the close drains in-flight handlers).
+  // The port stays reserved in the catalog so replica ranking can skip it.
   void close_door(int i) override;
   core::Status open_reactor_fronts();
-  core::Status open_accept_threads();
   net::ConnectOptions connect_options() const {
     return net::ConnectOptions{options_.connect_timeout_seconds};
   }
 
   TcpDeploymentOptions options_;
-  // Thread-per-connection mode.
-  std::unique_ptr<net::TcpListener> master_listener_;
-  std::vector<std::unique_ptr<net::TcpListener>> server_listeners_;
-  std::vector<std::thread> accept_threads_;
-  // Reactor mode.  Declaration order is teardown order in reverse: the
-  // pool and worker pools must outlive the servers built on them.  One
-  // door per server takes clients and peers alike: the requests peers send
-  // each other never wait on a third server, so the door's loop answers
-  // them and they never queue behind a worker blocked on a peer.
+  // Declaration order is teardown order in reverse: the pool and worker
+  // pools must outlive the servers built on them.  One door per server
+  // takes clients and peers alike: the requests peers send each other
+  // never wait on a third server, so the door's loop answers them and they
+  // never queue behind a worker blocked on a peer.
   std::unique_ptr<net::ReactorPool> reactors_;
   std::vector<std::unique_ptr<core::ThreadPool>> worker_pools_;
   std::unique_ptr<net::ReactorServer> master_front_;

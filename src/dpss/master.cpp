@@ -609,12 +609,7 @@ void Master::shutdown() {
 void Master::service_loop(net::StreamPtr stream) {
   for (;;) {
     auto msg = net::recv_message(*stream);
-    if (!msg.is_ok()) {
-      if (msg.status().code() == core::StatusCode::kDeadlineExceeded) {
-        note_read_timeout();
-      }
-      return;
-    }
+    if (!msg.is_ok()) return;  // peer closed
     net::Message reply = handle_request(std::move(msg).take());
     if (auto st = net::send_message(*stream, reply); !st.is_ok()) return;
   }

@@ -190,14 +190,17 @@ class Master {
   void set_acl(std::set<std::string> allowed_tokens);
 
   // ---- service ----
+  // Spawn a thread servicing requests on this in-memory pipe until peer
+  // close (TCP connections are served by the deployment's front door).
   void serve(net::StreamPtr stream);
   void shutdown();
 
-  // One request in, one reply out -- shared by the blocking service loop
-  // and the reactor-backed transport.  Thread-safe.
+  // One request in, one reply out -- shared by the pipe service loop and
+  // the TCP front door.  Thread-safe.
   net::Message handle_request(net::Message&& msg);
 
-  // Per-request read timeouts the transport observed on master connections.
+  // Per-request read deadlines the TCP front door hit on master
+  // connections.
   void note_read_timeout() { read_timeouts_.inc(); }
   std::uint64_t read_timeouts() const { return read_timeouts_.value(); }
 

@@ -3,8 +3,10 @@
 // "Typical DPSS implementations consist of several low-cost workstations as
 // DPSS block servers, each with several disk controllers, and several disks
 // on each controller" (section 3.5).  A BlockServer stores logical blocks
-// for any number of datasets and services read/write requests arriving over
-// ByteStream connections, one service thread per connection.
+// for any number of datasets and services read/write requests one at a
+// time through handle_request().  Over TCP the deployment's epoll front
+// door calls it (and handle_on_loop) for every connection; an in-memory
+// pipe handed to serve() gets one service thread of its own.
 //
 // The DiskModel captures the physical substrate we don't have: each server
 // owns `disks` independent spindles; a block read costs a seek plus
@@ -149,14 +151,15 @@ class BlockServer {
   }
 
   // ---- service ----
-  // Spawn a thread servicing requests on this connection until peer close.
+  // Spawn a thread servicing requests on this in-memory pipe until peer
+  // close (TCP connections are served by the deployment's front door).
   void serve(net::StreamPtr stream);
   // Stop all service threads (closes their streams).
   void shutdown();
 
-  // One request in, one reply out -- the dispatch shared by the blocking
-  // service loop and the reactor-backed transport, so both behave
-  // identically by construction.  `conn_id` identifies the client
+  // One request in, one reply out -- the dispatch shared by the pipe
+  // service loop and the TCP front door, so both behave identically by
+  // construction.  `conn_id` identifies the client
   // connection (allocate_conn_id()) for the per-connection stride
   // detector.  Thread-safe.
   net::Message handle_request(net::Message&& msg, std::uint64_t conn_id);
@@ -177,8 +180,8 @@ class BlockServer {
   // Connection ids for callers driving handle_request() directly.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
-  // Per-request read timeouts the transport observed on this server's
-  // connections (stalled clients shed by the reactor or the blocking shim).
+  // Per-request read deadlines the TCP front door hit on this server's
+  // connections (stalled clients it shed).  Pipes have no read deadline.
   void note_read_timeout() { read_timeouts_.inc(); }
   std::uint64_t read_timeouts() const { return read_timeouts_.value(); }
 

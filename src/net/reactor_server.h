@@ -23,11 +23,12 @@
 //   * a per-request read timeout (timer wheel) closes connections that
 //     stall mid-request, counted so server metrics can expose them.
 //
-// The blocking BlockServer::serve(StreamPtr)/Master::serve(StreamPtr) API
-// survives as a shim for in-memory pipe deployments; both paths feed the
-// same request body (BlockServer::handle_on_loop is that body
-// restricted to what cannot block), so behaviour is identical by
-// construction.
+// This is the only way a DPSS deployment serves TCP.  In-memory pipes,
+// which have no file descriptor to poll, are served instead by
+// BlockServer::serve(StreamPtr)/Master::serve(StreamPtr), one thread per
+// pipe.  Both feed the same request body (BlockServer::handle_on_loop is
+// that body restricted to what cannot block), so behaviour is identical
+// by construction.
 #pragma once
 
 #include <cstdint>

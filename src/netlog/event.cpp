@@ -1,9 +1,26 @@
 #include "netlog/event.h"
 
+#include <charconv>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 namespace visapult::netlog {
+
+namespace {
+
+// All of `s` as a T, or nullopt when it is malformed, only partly a number
+// or out of T's range.  Never throws: the text comes off the network.
+template <typename T>
+std::optional<T> parse_whole(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
 
 std::string Event::to_ulm() const {
   std::ostringstream os;
@@ -30,7 +47,9 @@ core::Result<Event> Event::from_ulm(const std::string& line) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "DATE") {
-      e.timestamp = std::stod(value);
+      const auto v = parse_whole<double>(value);
+      if (!v) return core::data_loss("bad ULM DATE: " + value);
+      e.timestamp = *v;
       have_date = true;
     } else if (key == "HOST") {
       e.host = value;
@@ -40,9 +59,13 @@ core::Result<Event> Event::from_ulm(const std::string& line) {
       e.tag = value;
       have_tag = true;
     } else if (key == "FRAME") {
-      e.frame = std::stoll(value);
+      const auto v = parse_whole<std::int64_t>(value);
+      if (!v) return core::data_loss("bad ULM FRAME: " + value);
+      e.frame = *v;
     } else if (key == "RANK") {
-      e.rank = std::stoi(value);
+      const auto v = parse_whole<int>(value);
+      if (!v) return core::data_loss("bad ULM RANK: " + value);
+      e.rank = *v;
     } else {
       e.fields.emplace_back(key, value);
     }
@@ -61,13 +84,7 @@ std::string Event::field(const std::string& key) const {
 }
 
 double Event::field_double(const std::string& key, double fallback) const {
-  const std::string v = field(key);
-  if (v.empty()) return fallback;
-  try {
-    return std::stod(v);
-  } catch (...) {
-    return fallback;
-  }
+  return parse_whole<double>(field(key)).value_or(fallback);
 }
 
 std::vector<std::string> nlv_tag_order() {

@@ -187,6 +187,10 @@ TEST(StripeLayout, ParityStorageIdentitiesAreDisjointPerGroup) {
   const EcProfile ec{2, 2};
   StripeLayout layout(ec_map(5, 10, ec));
   EXPECT_EQ(StripeLayout::parity_dataset("combustion"), "combustion#parity");
+  EXPECT_EQ(StripeLayout::parity_base("combustion#parity"), "combustion");
+  EXPECT_EQ(StripeLayout::parity_base("combustion"), std::nullopt);
+  EXPECT_EQ(StripeLayout::parity_base("#parity"), std::nullopt);
+  EXPECT_EQ(StripeLayout::parity_base("a#parity#b"), std::nullopt);
   std::vector<std::uint64_t> ids;
   for (std::uint64_t g = 0; g < layout.group_count(); ++g) {
     for (std::uint32_t j = 0; j < 2; ++j) {

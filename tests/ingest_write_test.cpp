@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "backend/data_source.h"
+#include "codec/reed_solomon.h"
+#include "codec/stripe_layout.h"
 #include "dpss/deployment.h"
 #include "ingest/chain.h"
 #include "support/test_support.h"
@@ -269,6 +271,62 @@ TEST(IngestWrite, EcWriteWithDeadParityOwnerFixesUpTheParityBlock) {
   ASSERT_EQ(n.value(), buf.size());
   EXPECT_EQ(0, std::memcmp(buf.data(), fresh.data(), buf.size()));
   EXPECT_GT(rfile.value()->reconstructed_reads(), 0u);
+}
+
+TEST(IngestWrite, EcParityFixupOfTheTailGroupMatchesAFreshEncode) {
+  // 16x16x21 floats = 21504 B = five 4 KiB blocks and a 1 KiB sixth: the
+  // last (4,2) group holds one full block, one short block and two slices
+  // past the end of the dataset.
+  constexpr std::uint32_t kTailBlock = 4096;
+  const vol::DatasetDesc desc{"tail-group", {16, 16, 21}, 1,
+                              vol::Generator::kCombustion, 3};
+  ASSERT_EQ(desc.total_bytes(), 5u * kTailBlock + 1024u);
+  PipeDeployment deployment(6);
+  deployment.enable_fixups();
+  const codec::EcProfile ec{4, 2};
+  ASSERT_TRUE(deployment.ingest(desc, kTailBlock, 1, 1, ec).is_ok());
+  auto map = deployment.master().placement_map(desc.name);
+  ASSERT_NE(map, nullptr);
+  ASSERT_EQ(map->block_count(), 6u);
+  ASSERT_EQ(map->group_count(), 2u);
+
+  // Kill the first parity owner of the last group, then overwrite the
+  // group's blocks 4 and 5 (the short one): the delta to the dead owner is
+  // missed and its parity block goes on the fixup queue.
+  const std::uint64_t group = 1;
+  const auto& owners = map->replicas_for_group(group).servers;
+  ASSERT_EQ(owners.size(), 6u);
+  const int parity_owner = static_cast<int>(owners[4]);
+  deployment.kill_server(parity_owner);
+
+  auto client = deployment.make_client();
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok());
+  const std::uint64_t offset = 4u * kTailBlock;
+  const auto fresh = pattern_bytes(desc.total_bytes() - offset, 77);
+  ASSERT_EQ(file.value()->lseek(static_cast<std::int64_t>(offset)),
+            static_cast<std::int64_t>(offset));
+  ASSERT_TRUE(file.value()->write(fresh.data(), fresh.size()).is_ok());
+  EXPECT_GE(deployment.master().fixup_depth(), 1u);
+  deployment.master().tick(0.0);
+  EXPECT_EQ(deployment.master().fixup_depth(), 0u);
+
+  // The group's data slices as written, zero-padded to whole blocks.
+  std::vector<std::vector<std::uint8_t>> data(4, std::vector<std::uint8_t>(
+                                                     kTailBlock, 0));
+  std::memcpy(data[0].data(), fresh.data(), kTailBlock);
+  std::memcpy(data[1].data(), fresh.data() + kTailBlock,
+              fresh.size() - kTailBlock);
+  std::vector<const std::uint8_t*> ptrs;
+  for (const auto& d : data) ptrs.push_back(d.data());
+  std::vector<std::vector<std::uint8_t>> parity;
+  codec::ReedSolomon(ec).encode(ptrs, kTailBlock, &parity);
+
+  auto stored = deployment.server(parity_owner)
+                    .get_block(codec::StripeLayout::parity_dataset(desc.name),
+                               group * ec.parity_slices);
+  ASSERT_TRUE(stored.is_ok()) << stored.status().to_string();
+  EXPECT_EQ(stored.value(), parity[0]);
 }
 
 TEST(IngestWrite, OverwriteNeverServesStaleFromServerMemoryTier) {

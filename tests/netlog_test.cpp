@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/clock.h"
+#include "core/rng.h"
+#include "net/message.h"
 #include "net/stream.h"
 #include "netlog/daemon.h"
 #include "netlog/event.h"
@@ -49,6 +54,78 @@ TEST(Event, UlmRoundTrip) {
 TEST(Event, FromUlmRejectsMalformedLine) {
   EXPECT_FALSE(Event::from_ulm("garbage with no equals").is_ok());
   EXPECT_FALSE(Event::from_ulm("HOST=x PROG=y").is_ok());  // no DATE/NL.EVNT
+}
+
+TEST(Event, FromUlmRejectsBadNumbersWithoutThrowing) {
+  EXPECT_FALSE(Event::from_ulm("DATE=abc NL.EVNT=x").is_ok());
+  EXPECT_FALSE(Event::from_ulm("DATE=1 NL.EVNT=x RANK=99999999999").is_ok());
+  EXPECT_FALSE(
+      Event::from_ulm("DATE=1 NL.EVNT=x FRAME=99999999999999999999").is_ok());
+  // The whole value must be the number, and an empty one is none.
+  EXPECT_FALSE(Event::from_ulm("DATE=12abc NL.EVNT=x").is_ok());
+  EXPECT_FALSE(Event::from_ulm("DATE= NL.EVNT=x").is_ok());
+  EXPECT_FALSE(Event::from_ulm("DATE=1 NL.EVNT=x FRAME=3x").is_ok());
+  EXPECT_FALSE(Event::from_ulm("DATE=1 NL.EVNT=x RANK=").is_ok());
+}
+
+TEST(Event, FieldDoubleNeedsTheWholeValue) {
+  Event e;
+  e.fields.emplace_back("BYTES", "12abc");
+  e.fields.emplace_back("QUEUE", "1e999");
+  EXPECT_DOUBLE_EQ(e.field_double("BYTES", -1.0), -1.0);
+  EXPECT_DOUBLE_EQ(e.field_double("QUEUE", -1.0), -1.0);
+}
+
+// Seeded truncation and bit-flip loop over rendered lines, in the style of
+// the DPSS wire-codec loop (tests/support/wire_fuzz.h): every prefix and
+// every mutant parses to an event or a status, never an exception, and an
+// event that does parse renders back to a line that parses.
+TEST(Event, SeededUlmMutationNeverThrows) {
+  std::vector<Event> events(4);
+  events[0].timestamp = 12.5;
+  events[0].host = "cplant";
+  events[0].program = "backend";
+  events[0].tag = tags::kBeLoadEnd;
+  events[0].frame = 3;
+  events[0].rank = 1;
+  events[0].fields.emplace_back("BYTES", "41943040");
+  events[1].timestamp = 1234567890.123456;
+  events[1].host = "viewer-host";
+  events[1].program = "viewer";
+  events[1].tag = tags::kVHeavyEnd;
+  events[1].frame = 9223372036854775807;
+  events[1].rank = 2147483647;
+  events[2].timestamp = -0.5;
+  events[2].tag = tags::kDpssServIn;
+  events[2].fields.emplace_back("TRACE", "00000000deadbeef");
+  events[2].fields.emplace_back("QUEUE", "0.000125");
+  events[3].tag = tags::kCacheHit;
+  events[3].rank = 0;
+
+  core::Rng rng(20261021);
+  for (const Event& e : events) {
+    const std::string line = e.to_ulm();
+    SCOPED_TRACE(line);
+    ASSERT_TRUE(Event::from_ulm(line).is_ok());
+    for (std::size_t len = 0; len < line.size(); ++len) {
+      ASSERT_NO_THROW(Event::from_ulm(line.substr(0, len))) << "prefix " << len;
+    }
+    for (int round = 0; round < 2000; ++round) {
+      std::string flipped = line;
+      const int bits = 1 + static_cast<int>(rng.next_below(3));
+      for (int b = 0; b < bits; ++b) {
+        const std::size_t bit = rng.next_below(flipped.size() * 8);
+        flipped[bit / 8] = static_cast<char>(
+            static_cast<unsigned char>(flipped[bit / 8]) ^ (1u << (bit % 8)));
+      }
+      core::Result<Event> got = core::data_loss("unset");
+      ASSERT_NO_THROW(got = Event::from_ulm(flipped)) << "flip round " << round;
+      if (got.is_ok()) {
+        EXPECT_TRUE(Event::from_ulm(got.value().to_ulm()).is_ok())
+            << "flip round " << round;
+      }
+    }
+  }
 }
 
 TEST(Event, MissingFieldDefaults) {
@@ -106,6 +183,36 @@ TEST(Daemon, CollectsEventsOverStream) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].tag, tags::kBeLoadStart);
   EXPECT_EQ(events[0].host, "remote-host");
+}
+
+TEST(Daemon, HostileLineDoesNotStopService) {
+  CollectorDaemon daemon;
+  auto [client_end, daemon_end] = net::make_pipe();
+  daemon.serve(daemon_end);
+
+  auto send_line = [&, client = client_end](const std::string& line) {
+    net::Message msg;
+    msg.type = kEventMessageType;
+    net::Writer w;
+    w.str(line);
+    msg.payload = w.take();
+    ASSERT_TRUE(net::send_message(*client, msg).is_ok());
+  };
+  send_line("DATE=1 NL.EVNT=x RANK=99999999999");
+  send_line("DATE=abc NL.EVNT=x");
+  Event good;
+  good.timestamp = 7.0;
+  good.host = "remote-host";
+  good.tag = tags::kBeFrameEnd;
+  good.rank = 3;
+  send_line(good.to_ulm());
+  client_end->close();
+  daemon.drain();
+
+  const auto events = daemon.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].tag, tags::kBeFrameEnd);
+  EXPECT_EQ(events[0].rank, 3);
 }
 
 TEST(Daemon, MultipleProducers) {
